@@ -17,8 +17,10 @@ class Tensor:
     """A dense float64 array plus gradient bookkeeping.
 
     `grad` is populated (as a plain ndarray) by `backward`. `requires_grad`
-    marks trainable leaves; intermediate results produced from them propagate
-    gradients regardless of their own flag.
+    is the only gradient flag: the caller sets it on trainable leaves, and an
+    op recorded on a tape sets it on its output when any input has it.
+    `backward` reads it when it runs, so changing it between steps takes
+    effect.
     """
 
     def __init__(self, data, requires_grad=False):
@@ -82,31 +84,24 @@ _ACTIVE_TAPE = None
 
 
 def _record(inputs, output, backward_fn):
-    if _ACTIVE_TAPE is not None and any(t._tracked for t in inputs):
-        output._tracked = True
+    if _ACTIVE_TAPE is not None and any(t.requires_grad for t in inputs):
+        output.requires_grad = True
         _ACTIVE_TAPE.entries.append(_TapeEntry(inputs, output, backward_fn))
 
 
-# Every tensor carries a `_tracked` flag while taping: True once it depends on
-# a requires_grad leaf. Leaves are tracked iff requires_grad.
-def _init_tracked(t):
-    if not hasattr(t, "_tracked"):
-        t._tracked = t.requires_grad
-    return t
-
-
 def _as_tensor(x):
-    if isinstance(x, Tensor):
-        return _init_tracked(x)
-    t = Tensor(np.asarray(x, dtype=np.float64))
-    t._tracked = False
-    return t
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _accumulate(t, g):
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # A fresh array in the layout of `t.data`: `g` may be shared with
+        # another input (add, sub), and its own layout (permuted after a
+        # transpose) would change how later matmuls round.
+        t.grad = np.empty_like(t.data)
+        t.grad[...] = g
+    else:
+        t.grad += g
 
 
 def _unbroadcast(grad, shape):
@@ -120,16 +115,9 @@ def _unbroadcast(grad, shape):
     return grad.reshape(shape)
 
 
-def _make_out(data, inputs):
-    out = Tensor(data)
-    out._tracked = False
-    out.requires_grad = False
-    return out
-
-
 def add(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    out = _make_out(a.data + b.data, (a, b))
+    out = Tensor(a.data + b.data)
 
     def backward_fn(g):
         return (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape))
@@ -140,7 +128,7 @@ def add(a, b):
 
 def sub(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    out = _make_out(a.data - b.data, (a, b))
+    out = Tensor(a.data - b.data)
 
     def backward_fn(g):
         return (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape))
@@ -151,7 +139,7 @@ def sub(a, b):
 
 def mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    out = _make_out(a.data * b.data, (a, b))
+    out = Tensor(a.data * b.data)
 
     def backward_fn(g):
         return (
@@ -163,18 +151,11 @@ def mul(a, b):
     return out
 
 
-def neg(a):
-    a = _as_tensor(a)
-    out = _make_out(-a.data, (a,))
-    _record((a,), out, lambda g: (-g,))
-    return out
-
-
 def power(a, exponent):
     """Elementwise a**exponent for a constant scalar exponent."""
     a = _as_tensor(a)
     e = float(exponent)
-    out = _make_out(a.data**e, (a,))
+    out = Tensor(a.data**e)
 
     def backward_fn(g):
         return (g * e * a.data ** (e - 1.0),)
@@ -185,7 +166,7 @@ def power(a, exponent):
 
 def log(a):
     a = _as_tensor(a)
-    out = _make_out(np.log(a.data), (a,))
+    out = Tensor(np.log(a.data))
     _record((a,), out, lambda g: (g / a.data,))
     return out
 
@@ -193,14 +174,14 @@ def log(a):
 def sigmoid(a):
     a = _as_tensor(a)
     s = 1.0 / (1.0 + np.exp(-a.data))
-    out = _make_out(s, (a,))
+    out = Tensor(s)
     _record((a,), out, lambda g: (g * s * (1.0 - s),))
     return out
 
 
 def relu(a):
     a = _as_tensor(a)
-    out = _make_out(np.maximum(a.data, 0.0), (a,))
+    out = Tensor(np.maximum(a.data, 0.0))
     _record((a,), out, lambda g: (g * (a.data > 0.0),))
     return out
 
@@ -208,7 +189,7 @@ def relu(a):
 def clip(a, lo, hi):
     """Clamp values to [lo, hi]; gradient passes only through unclipped entries."""
     a = _as_tensor(a)
-    out = _make_out(np.clip(a.data, lo, hi), (a,))
+    out = Tensor(np.clip(a.data, lo, hi))
     inside = (a.data >= lo) & (a.data <= hi)
     _record((a,), out, lambda g: (g * inside,))
     return out
@@ -221,7 +202,7 @@ def matmul(a, b):
         raise ShapeError(f"matmul needs >=2-d operands, got {a.data.shape} and {b.data.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} x {b.data.shape}")
-    out = _make_out(np.matmul(a.data, b.data), (a, b))
+    out = Tensor(np.matmul(a.data, b.data))
 
     def backward_fn(g):
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
@@ -234,14 +215,14 @@ def matmul(a, b):
 
 def reshape(a, shape):
     a = _as_tensor(a)
-    out = _make_out(a.data.reshape(shape), (a,))
+    out = Tensor(a.data.reshape(shape))
     _record((a,), out, lambda g: (g.reshape(a.data.shape),))
     return out
 
 
 def transpose(a, axes):
     a = _as_tensor(a)
-    out = _make_out(np.transpose(a.data, axes), (a,))
+    out = Tensor(np.transpose(a.data, axes))
     inv = np.argsort(axes)
     _record((a,), out, lambda g: (np.transpose(g, inv),))
     return out
@@ -249,7 +230,7 @@ def transpose(a, axes):
 
 def tsum(a, axis=None, keepdims=False):
     a = _as_tensor(a)
-    out = _make_out(a.data.sum(axis=axis, keepdims=keepdims), (a,))
+    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
 
     def backward_fn(g):
         if axis is None:
@@ -278,7 +259,7 @@ def softmax(a, axis):
     # keep outputs strictly positive even when exp underflows; the floor is
     # denormal, so the sum stays 1 within 1e-9
     s = np.maximum(s, 1e-320)
-    out = _make_out(s, (a,))
+    out = Tensor(s)
 
     def backward_fn(g):
         dot = (g * s).sum(axis=axis, keepdims=True)
@@ -307,7 +288,7 @@ def embedding(table, ids):
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise IndexError(f"embedding id out of range for table with {table.data.shape[0]} rows")
-    out = _make_out(table.data[ids], (table,))
+    out = Tensor(table.data[ids])
 
     def backward_fn(g):
         gt = np.zeros_like(table.data)
@@ -323,7 +304,7 @@ def take_positions(x, batch_idx, pos_idx):
     x = _as_tensor(x)
     batch_idx = np.asarray(batch_idx, dtype=np.intp)
     pos_idx = np.asarray(pos_idx, dtype=np.intp)
-    out = _make_out(x.data[batch_idx, pos_idx], (x,))
+    out = Tensor(x.data[batch_idx, pos_idx])
 
     def backward_fn(g):
         gx = np.zeros_like(x.data)
@@ -355,7 +336,7 @@ def cross_entropy(logits, targets, ignore_id=None):
     if count and (targets[valid].min() < 0 or targets[valid].max() >= v):
         raise IndexError(f"target id out of range for {v} classes")
     if count == 0:
-        out = _make_out(np.float64(0.0), (logits,))
+        out = Tensor(np.float64(0.0))
         out.no_signal = True
         out.token_count = 0
         _record((logits,), out, lambda g: (np.zeros_like(logits.data),))
@@ -368,7 +349,7 @@ def cross_entropy(logits, targets, ignore_id=None):
     safe_targets = np.where(valid, targets, 0)
     nll = -log_probs[np.arange(n), safe_targets]
     loss = nll[valid].sum() / count
-    out = _make_out(np.float64(loss), (logits,))
+    out = Tensor(np.float64(loss))
     out.no_signal = False
     out.token_count = count
 
@@ -387,16 +368,15 @@ def backward(loss, params=None):
     """Replay the active tape in reverse, accumulating gradients.
 
     `loss` must be a scalar produced while the tape was recording. Gradients
-    land in `.grad` of every tensor on the path to a requires_grad leaf. If
-    `params` is given, any listed tensor left untouched (unreachable from the
-    loss) receives an explicit zero gradient. Returns a dict mapping id(param)
-    to its gradient array for the reachable-or-listed set.
+    land in `.grad` of every tensor that has `requires_grad` set and lies on a
+    path to the loss; intermediate results drop theirs once used. If `params`
+    is given, any listed tensor left untouched (unreachable from the loss)
+    receives an explicit zero gradient.
     """
     if _ACTIVE_TAPE is None:
         raise RuntimeError("backward requires an active GradTape")
     if np.asarray(loss.data).size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
-    grads = {}
     if loss.grad is None:
         loss.grad = np.ones_like(loss.data)
     for entry in reversed(_ACTIVE_TAPE.entries):
@@ -404,18 +384,13 @@ def backward(loss, params=None):
             continue
         gs = entry.backward_fn(entry.output.grad)
         for t, g in zip(entry.inputs, gs):
-            if t._tracked:
+            if t.requires_grad:
                 _accumulate(t, g)
-                if t.requires_grad:
-                    grads[id(t)] = t.grad
-        if not entry.output.requires_grad:
-            entry.output.grad = None  # intermediates are single-use
+        entry.output.grad = None  # intermediates are single-use
     if params is not None:
         for p in params:
             if p.grad is None:
                 p.grad = np.zeros_like(p.data)
-            grads[id(p)] = p.grad
-    return grads
 
 
 def grad_check(f, x, eps=1e-6):

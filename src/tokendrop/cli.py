@@ -7,7 +7,7 @@ import os
 import sys
 
 from .config import ConfigError, load_config
-from .evaluation import NoiseEvalSpec, corpus_bleu, greedy_decode_batch, noise_eval
+from .evaluation import NoiseEvalSpec, noise_eval
 from .objectives import NonFiniteLossError
 from .pipeline import (CHECKPOINT_NAME, VOCAB_SRC_NAME, VOCAB_TGT_NAME, drop_rate_sweep,
                        evaluate_clean, train_run, write_csv)

@@ -68,7 +68,6 @@ def _bool(s):
     raise ValueError(f"not a boolean: {s!r}")
 
 
-# (section, key) -> (target object selector, attribute, parser)
 _SCHEMA = {
     "data": {
         "synthetic": _bool, "max_vocab": int,

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vocab import BOS_ID, EOS_ID, PAD_ID, Vocabulary, tokenize
+from .vocab import BOS_ID, EOS_ID, PAD_ID, tokenize
 
 
 @dataclass
@@ -164,7 +164,6 @@ class ParallelBatch:
         src_len = max(len(s) for s in src_ids)
         tgt_len = max(len(t) for t in tgt_ids) + 1  # room for BOS/EOS
         self.source = np.full((b, src_len), PAD_ID, dtype=np.int64)
-        self.source_lengths = np.array([len(s) for s in src_ids], dtype=np.int64)
         self.target_input = np.full((b, tgt_len), PAD_ID, dtype=np.int64)
         self.target_output = np.full((b, tgt_len), PAD_ID, dtype=np.int64)
         for i, (s, t) in enumerate(zip(src_ids, tgt_ids)):
@@ -177,14 +176,6 @@ class ParallelBatch:
     @property
     def size(self):
         return self.source.shape[0]
-
-    @property
-    def source_pad_mask(self):
-        return self.source == PAD_ID
-
-    @property
-    def target_pad_mask(self):
-        return self.target_input == PAD_ID
 
 
 def make_batches(pairs, batch_size, rng):

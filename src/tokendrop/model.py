@@ -8,6 +8,7 @@ input embedding matrix itself (weight tying: one storage object).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,17 +36,17 @@ class ModelConfig:
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
 
-    def to_dict(self):
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
-
+@functools.lru_cache(maxsize=16)
 def sinusoidal_encoding(max_len, d_model):
+    """The [max_len, d_model] position table; cached, so it is read-only."""
     pos = np.arange(max_len, dtype=np.float64)[:, None]
     dim = np.arange(d_model, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, 2.0 * (dim // 2) / d_model)
     enc = np.zeros((max_len, d_model))
     enc[:, 0::2] = np.sin(angle[:, 0::2])
     enc[:, 1::2] = np.cos(angle[:, 1::2])
+    enc.flags.writeable = False
     return enc
 
 

@@ -57,9 +57,6 @@ class NonFiniteLossError(RuntimeError):
         self.component = component
 
 
-_PROB_FLOOR = 1e-12
-
-
 def translation_loss(logits, target_output, pad_id):
     """Mean negative log-likelihood over non-pad target positions."""
     b, length, v = logits.data.shape
@@ -70,7 +67,11 @@ def translation_loss(logits, target_output, pad_id):
 def rtd_loss(probs, mask, droppable):
     """Binary cross-entropy of drop probabilities against the true mask,
     averaged over droppable positions. Returns a tensor carrying a
-    `no_signal` flag when nothing was droppable."""
+    `no_signal` flag when nothing was droppable.
+
+    `probs` must lie strictly inside (0, 1), as `model.rtd_head` guarantees
+    by clipping; an exact 0 or 1 makes the loss infinite.
+    """
     droppable = np.asarray(droppable, dtype=bool)
     count = int(droppable.sum())
     if count == 0:
@@ -78,9 +79,8 @@ def rtd_loss(probs, mask, droppable):
         out.no_signal = True
         return out
     labels = np.asarray(mask, dtype=np.float64)
-    p = ad.clip(probs, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
-    per_pos = ad.add(ad.mul(ad.log(p), labels),
-                     ad.mul(ad.log(ad.sub(1.0, p)), 1.0 - labels))
+    per_pos = ad.add(ad.mul(ad.log(probs), labels),
+                     ad.mul(ad.log(ad.sub(1.0, probs)), 1.0 - labels))
     masked = ad.mul(per_pos, droppable.astype(np.float64))
     out = ad.mul(ad.tsum(masked), -1.0 / count)
     out.no_signal = False

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from . import data as data_mod
 from .config import dump_config
 from .data import encode_pairs, generate_synthetic_corpus, load_parallel
-from .evaluation import NoiseEvalSpec, corpus_bleu, greedy_decode_batch, noise_eval
-from .training import RunLog, TrainState, checkpoint, run_training, validate
+from .evaluation import corpus_bleu, greedy_decode_batch
+from .training import TrainState, checkpoint, run_training
 from .vocab import Vocabulary, build_vocabulary
 
 CHECKPOINT_NAME = "checkpoint.npz"
@@ -63,8 +63,6 @@ def build_state(cfg, bundle):
     model_cfg = copy.deepcopy(cfg.model)
     model_cfg.src_vocab_size = len(bundle.src_vocab)
     model_cfg.tgt_vocab_size = len(bundle.tgt_vocab)
-    if model_cfg.shared_embedding and len(bundle.src_vocab) != len(bundle.tgt_vocab):
-        raise ValueError("shared embedding requires equal vocabulary sizes")
     return TrainState(model_cfg, cfg.drop, cfg.objective, cfg.train)
 
 

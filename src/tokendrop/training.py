@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -45,9 +45,6 @@ class TrainConfig:
             raise ValueError("lr_factor must be >= 0")
         if self.warmup_steps < 1 or self.batch_size < 1 or self.max_steps < 1:
             raise ValueError("steps, warmup and batch size must be positive")
-
-    def to_dict(self):
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
 def _spawn_rngs(seed, drop_seed):
@@ -232,11 +229,10 @@ def checkpoint(state, path):
     uniques = unique_parameters(state.params)
     header = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "model_cfg": state.model_cfg.to_dict(),
-        "drop_cfg": {"p_source": state.drop_cfg.p_source, "p_target": state.drop_cfg.p_target,
-                     "strategy": state.drop_cfg.strategy, "seed": state.drop_cfg.seed},
-        "obj_cfg": {"alpha": state.obj_cfg.alpha, "beta": state.obj_cfg.beta},
-        "train_cfg": state.train_cfg.to_dict(),
+        "model_cfg": asdict(state.model_cfg),
+        "drop_cfg": asdict(state.drop_cfg),
+        "obj_cfg": asdict(state.obj_cfg),
+        "train_cfg": asdict(state.train_cfg),
         "step": state.step,
         "param_order": [[name, list(t.data.shape)] for name, t in uniques],
         "corrupt_rng": state.corrupt_rng.bit_generator.state,
@@ -266,26 +262,30 @@ def restore(path):
     if header.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint format version {header.get('format_version')}")
 
-    state = TrainState(
-        ModelConfig(**header["model_cfg"]),
-        DropConfig(**header["drop_cfg"]),
-        ObjectiveConfig(**header["obj_cfg"]),
-        TrainConfig(**header["train_cfg"]),
-    )
-    by_name = dict(unique_parameters(state.params))
-    for name, shape in header["param_order"]:
-        if name not in by_name:
-            raise CheckpointError(f"checkpoint parameter {name} unknown to this configuration")
-        expect = tuple(shape)
-        data = arrays[f"param.{name}"]
-        if data.shape != expect or by_name[name].data.shape != expect:
-            raise CheckpointError(
-                f"shape mismatch for {name}: header {expect}, stored {data.shape}, "
-                f"model {by_name[name].data.shape}")
-        by_name[name].data = data.astype(np.float64)
-        state.adam_m[name] = arrays[f"adam_m.{name}"].astype(np.float64)
-        state.adam_v[name] = arrays[f"adam_v.{name}"].astype(np.float64)
-    state.step = int(header["step"])
-    state.corrupt_rng.bit_generator.state = header["corrupt_rng"]
-    state.dropout_rng.bit_generator.state = header["dropout_rng"]
+    try:
+        state = TrainState(
+            ModelConfig(**header["model_cfg"]),
+            DropConfig(**header["drop_cfg"]),
+            ObjectiveConfig(**header["obj_cfg"]),
+            TrainConfig(**header["train_cfg"]),
+        )
+        by_name = dict(unique_parameters(state.params))
+        for name, shape in header["param_order"]:
+            if name not in by_name:
+                raise CheckpointError(f"checkpoint parameter {name} unknown to this configuration")
+            expect = tuple(shape)
+            data = arrays[f"param.{name}"]
+            if data.shape != expect or by_name[name].data.shape != expect:
+                raise CheckpointError(
+                    f"shape mismatch for {name}: header {expect}, stored {data.shape}, "
+                    f"model {by_name[name].data.shape}")
+            by_name[name].data = data.astype(np.float64)
+            state.adam_m[name] = arrays[f"adam_m.{name}"].astype(np.float64)
+            state.adam_v[name] = arrays[f"adam_v.{name}"].astype(np.float64)
+        state.step = int(header["step"])
+        state.corrupt_rng.bit_generator.state = header["corrupt_rng"]
+        state.dropout_rng.bit_generator.state = header["dropout_rng"]
+    except (KeyError, TypeError) as exc:
+        # a missing array or header key, or a config key this version does not know
+        raise CheckpointError(f"incomplete checkpoint {path}: {exc!r}") from exc
     return state

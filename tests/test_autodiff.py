@@ -188,6 +188,37 @@ class TestBackward:
             ad.backward(loss)
         np.testing.assert_allclose(w.grad, [3.0 + 2.0 * 2.0], atol=1e-12)
 
+    def test_frozen_after_first_use_gets_no_gradient(self):
+        w = t([1.0, 2.0, 3.0], grad=True)
+        other = t([1.0], grad=True)
+        with ad.GradTape():
+            ad.backward(ad.tsum(ad.mul(w, 5.0)))
+        w.requires_grad = False
+        w.zero_grad()
+        with ad.GradTape():
+            ad.backward(ad.tsum(ad.add(ad.mul(w, 5.0), other)))
+        assert w.grad is None
+        np.testing.assert_array_equal(other.grad, [3.0])
+
+    def test_made_trainable_after_first_use_gets_gradient(self):
+        w = t([1.0, 2.0, 3.0])
+        with ad.GradTape():
+            ad.mul(w, 5.0)
+        w.requires_grad = True
+        with ad.GradTape():
+            assert ad.backward(ad.tsum(ad.mul(w, 5.0))) is None
+        np.testing.assert_array_equal(w.grad, [5.0, 5.0, 5.0])
+
+    def test_inputs_of_one_add_keep_separate_gradients(self):
+        # add hands both inputs the same upstream array; accumulating into
+        # one of them later must not reach the other
+        a = t([1.0, 2.0], grad=True)
+        b = t([3.0, 4.0], grad=True)
+        with ad.GradTape():
+            ad.backward(ad.tsum(ad.add(ad.mul(a, 2.0), ad.add(a, b))))
+        np.testing.assert_array_equal(a.grad, [3.0, 3.0])
+        np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+
     def test_deterministic(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(4, 4))

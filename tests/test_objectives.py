@@ -83,6 +83,22 @@ class TestRtdLoss:
         assert float(loss.data) == 0.0
         assert loss.no_signal
 
+    def test_saturated_rtd_head_gives_finite_loss_and_gradients(self):
+        from tokendrop import model as md
+
+        cfg = md.ModelConfig(d_model=4, d_ffn=8, n_layers=1, n_heads=1,
+                             src_vocab_size=11, tgt_vocab_size=11)
+        params = md.init_parameters(cfg, np.random.default_rng(0))
+        hidden = ad.Tensor(np.full((2, 3, cfg.d_model), 1e3), requires_grad=True)
+        enc = md.EncodedBatch(hidden=hidden, pad_mask=np.zeros((2, 3), dtype=bool))
+        mask = np.array([[True, False, False], [False, True, False]])
+        with ad.GradTape():
+            loss = ob.rtd_loss(md.rtd_head(enc, params), mask, np.ones((2, 3), dtype=bool))
+            ad.backward(loss, params=[params["rtd.w"], params["rtd.b"]])
+        assert np.isfinite(float(loss.data))
+        for g in (hidden.grad, params["rtd.w"].grad, params["rtd.b"].grad):
+            assert np.isfinite(g).all()
+
     def test_zero_drop_rate_reduces_to_all_clear_labels(self):
         probs = np.array([[0.25, 0.4]])
         droppable = np.ones((1, 2), dtype=bool)

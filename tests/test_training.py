@@ -46,6 +46,20 @@ def states_equal(a, b):
         for n in a.adam_m)
 
 
+def edited_checkpoint(tmp_path, edit):
+    """A one-step checkpoint after `edit(arrays, header)` has changed it."""
+    state, _, _ = small_setup(max_steps=1, validate_every=1)
+    path = tmp_path / "ckpt.npz"
+    checkpoint(state, path)
+    with np.load(path) as archive:
+        arrays = {k: archive[k] for k in archive.files}
+    header = json.loads(arrays["header"].tobytes().decode("utf-8"))
+    edit(arrays, header)
+    arrays["header"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
+    np.savez(path, **arrays)
+    return path
+
+
 class TestClipGradients:
     def test_small_gradients_untouched(self):
         g = np.array([0.3, 0.4])
@@ -246,7 +260,7 @@ class TestCheckpoint:
         checkpoint(state, path)
         restored = restore(path)
         assert states_equal(state, restored)
-        assert restored.train_cfg.to_dict() == state.train_cfg.to_dict()
+        assert restored.train_cfg == state.train_cfg
         assert (json.dumps(restored.corrupt_rng.bit_generator.state)
                 == json.dumps(state.corrupt_rng.bit_generator.state))
 
@@ -291,30 +305,24 @@ class TestCheckpoint:
             restore(path)
 
     def test_wrong_format_version_rejected(self, tmp_path):
-        state, train, _ = small_setup(max_steps=1, validate_every=1)
-        path = tmp_path / "ckpt.npz"
-        checkpoint(state, path)
-        with np.load(path) as archive:
-            arrays = {k: archive[k] for k in archive.files}
-        header = json.loads(arrays["header"].tobytes().decode("utf-8"))
-        header["format_version"] = 999
-        arrays["header"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
-        np.savez(path, **arrays)
+        path = edited_checkpoint(tmp_path, lambda a, h: h.update(format_version=999))
         with pytest.raises(CheckpointError, match="version"):
             restore(path)
 
     def test_shape_mismatch_rejected(self, tmp_path):
-        state, train, _ = small_setup(max_steps=1, validate_every=1)
-        path = tmp_path / "ckpt.npz"
-        checkpoint(state, path)
-        with np.load(path) as archive:
-            arrays = {k: archive[k] for k in archive.files}
-        header = json.loads(arrays["header"].tobytes().decode("utf-8"))
-        header["model_cfg"]["d_model"] = 8  # restored model no longer matches arrays
-        arrays["header"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
-        np.savez(path, **arrays)
+        # the restored model no longer matches the arrays
+        path = edited_checkpoint(tmp_path, lambda a, h: h["model_cfg"].update(d_model=8))
         with pytest.raises(CheckpointError):
             restore(path)
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda a, h: a.pop("adam_m.src_emb"), "adam_m.src_emb"),
+        (lambda a, h: h.pop("step"), "step"),
+        (lambda a, h: h["train_cfg"].update(momentum=0.5), "momentum"),
+    ], ids=["missing_array", "missing_header_key", "unknown_config_key"])
+    def test_incomplete_checkpoint_rejected(self, tmp_path, edit, named):
+        with pytest.raises(CheckpointError, match=named):
+            restore(edited_checkpoint(tmp_path, edit))
 
     def test_missing_file_raises_checkpoint_error(self, tmp_path):
         with pytest.raises(CheckpointError):

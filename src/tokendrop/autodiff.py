@@ -173,7 +173,8 @@ def log(a):
 
 def sigmoid(a):
     a = _as_tensor(a)
-    s = 1.0 / (1.0 + np.exp(-a.data))
+    with np.errstate(over="ignore"):  # exp overflows to inf below about -709; 1/(1+inf) = 0
+        s = 1.0 / (1.0 + np.exp(-a.data))
     out = Tensor(s)
     _record((a,), out, lambda g: (g * s * (1.0 - s),))
     return out

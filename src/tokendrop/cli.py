@@ -7,10 +7,10 @@ import os
 import sys
 
 from .config import ConfigError, load_config
-from .evaluation import NoiseEvalSpec, noise_eval
+from .evaluation import noise_eval
 from .objectives import NonFiniteLossError
-from .pipeline import (CHECKPOINT_NAME, VOCAB_SRC_NAME, VOCAB_TGT_NAME, drop_rate_sweep,
-                       evaluate_clean, train_run, write_csv)
+from .pipeline import (CHECKPOINT_NAME, CONFIG_SNAPSHOT_NAME, VOCAB_SRC_NAME, VOCAB_TGT_NAME,
+                       drop_rate_sweep, evaluate_clean, train_run, write_csv)
 from .data import encode_pairs, load_parallel
 from .training import CheckpointError, restore
 from .vocab import Vocabulary
@@ -19,42 +19,49 @@ from .vocab import Vocabulary
 def _add_common(p):
     p.add_argument("--config", default=None, help="ini-style run configuration")
     p.add_argument("--out", default="runs/default", help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="override train.seed")
+    p.add_argument("--seed", dest="train.seed", type=int, help="override train.seed")
     p.add_argument("--set", dest="overrides", action="append", default=[],
                    metavar="SECTION.KEY=VALUE", help="config override (repeatable)")
 
 
-def _resolved_config(args):
-    overrides = list(args.overrides)
-    if args.seed is not None:
-        overrides.append(f"train.seed={args.seed}")
-    return load_config(args.config, overrides)
+def _add_run(p):
+    p.add_argument("--run", required=True, help="run directory containing checkpoint + vocabs")
+    p.add_argument("--src", default=None, help="test source file (default: run data)")
+    p.add_argument("--tgt", default=None, help="test reference file (default: run data)")
+    p.add_argument("--max-len", dest="eval.max_decode_len", type=int,
+                   help="decode length (default: the run's eval.max_decode_len)")
 
 
-def _load_run(run_dir):
-    """Restore a completed run: checkpoint plus its vocabularies."""
-    state = restore(os.path.join(run_dir, CHECKPOINT_NAME))
-    src_vocab = Vocabulary.load(os.path.join(run_dir, VOCAB_SRC_NAME))
-    tgt_vocab = Vocabulary.load(os.path.join(run_dir, VOCAB_TGT_NAME))
-    if len(src_vocab) != state.model_cfg.src_vocab_size:
-        raise CheckpointError(
-            f"source vocabulary has {len(src_vocab)} entries but the checkpoint "
-            f"was trained with {state.model_cfg.src_vocab_size}")
-    if len(tgt_vocab) != state.model_cfg.tgt_vocab_size:
-        raise CheckpointError(
-            f"target vocabulary has {len(tgt_vocab)} entries but the checkpoint "
-            f"was trained with {state.model_cfg.tgt_vocab_size}")
-    return state, src_vocab, tgt_vocab
+def _resolved_config(args, path):
+    """The config at `path` with the --set overrides, then each flag the user
+    gave; a flag whose argparse dest is a dotted config key overrides that key."""
+    overrides = list(getattr(args, "overrides", ()))
+    for key, value in vars(args).items():
+        if "." in key and value is not None:
+            value = ",".join(map(str, value)) if isinstance(value, list) else value
+            overrides.append(f"{key}={value}")
+    return load_config(path, overrides)
 
 
-def _test_pairs(args, run_dir, src_vocab, tgt_vocab):
-    src = args.src or os.path.join(run_dir, "data", "test.src")
-    tgt = args.tgt or os.path.join(run_dir, "data", "test.tgt")
-    return encode_pairs(load_parallel(src, tgt), src_vocab, tgt_vocab)
+def _load_run(args):
+    """Open a completed run: its config snapshot with the flags applied, the
+    checkpoint, the target vocabulary and the encoded test pairs."""
+    cfg = _resolved_config(args, os.path.join(args.run, CONFIG_SNAPSHOT_NAME))
+    state = restore(os.path.join(args.run, CHECKPOINT_NAME))
+    src_vocab = Vocabulary.load(os.path.join(args.run, VOCAB_SRC_NAME))
+    tgt_vocab = Vocabulary.load(os.path.join(args.run, VOCAB_TGT_NAME))
+    for side, vocab, size in (("source", src_vocab, state.model_cfg.src_vocab_size),
+                              ("target", tgt_vocab, state.model_cfg.tgt_vocab_size)):
+        if len(vocab) != size:
+            raise CheckpointError(f"{side} vocabulary has {len(vocab)} entries but the "
+                                  f"checkpoint was trained with {size}")
+    src = args.src or os.path.join(args.run, "data", "test.src")
+    tgt = args.tgt or os.path.join(args.run, "data", "test.tgt")
+    return cfg, state, tgt_vocab, encode_pairs(load_parallel(src, tgt), src_vocab, tgt_vocab)
 
 
 def cmd_train(args):
-    cfg = _resolved_config(args)
+    cfg = _resolved_config(args, args.config)
 
     def on_record(rec):
         ppl = f"  valid_ppl={rec['valid_ppl']:.3f}" if rec["valid_ppl"] is not None else ""
@@ -67,9 +74,8 @@ def cmd_train(args):
 
 
 def cmd_evaluate(args):
-    state, src_vocab, tgt_vocab = _load_run(args.run)
-    pairs = _test_pairs(args, args.run, src_vocab, tgt_vocab)
-    report, hyps = evaluate_clean(state, pairs, args.max_len)
+    cfg, state, tgt_vocab, pairs = _load_run(args)
+    report, hyps = evaluate_clean(state, pairs, cfg.eval.max_decode_len)
     print(report)
     write_csv(os.path.join(args.run, "bleu.csv"),
               ["bleu", "p1", "p2", "p3", "p4", "brevity_penalty", "hyp_length", "ref_length"],
@@ -85,11 +91,8 @@ def cmd_evaluate(args):
 
 
 def cmd_robustness(args):
-    state, src_vocab, tgt_vocab = _load_run(args.run)
-    pairs = _test_pairs(args, args.run, src_vocab, tgt_vocab)
-    spec = NoiseEvalSpec(rates=tuple(args.rates), samples=args.samples,
-                         seed=args.eval_seed, max_decode_len=args.max_len)
-    rows = noise_eval(pairs, state, spec)
+    cfg, state, _, pairs = _load_run(args)
+    rows = noise_eval(pairs, state, cfg.eval.noise_spec())
     out_csv = os.path.join(args.run, "robustness.csv")
     write_csv(out_csv, ["rate", "mean_bleu", "std_bleu"], rows)
     for row in rows:
@@ -100,8 +103,7 @@ def cmd_robustness(args):
 
 
 def cmd_sweep(args):
-    cfg = _resolved_config(args)
-    rates = args.rates if args.rates else list(cfg.eval.sweep_rates)
+    cfg = _resolved_config(args, args.config)
     failures = []
 
     def on_row(row):
@@ -111,16 +113,12 @@ def cmd_sweep(args):
         else:
             print(f"p_s={row['p_s']:.2f}  bleu={row['bleu']:.2f}", flush=True)
 
-    rows = drop_rate_sweep(cfg, rates, args.out, on_row=on_row)
+    rows = drop_rate_sweep(cfg, args.out, on_row=on_row)
     out_csv = os.path.join(args.out, "sweep.csv")
     write_csv(out_csv, ["p_s", "bleu"],
               [{"p_s": r["p_s"], "bleu": r["bleu"]} for r in rows])
     print(f"wrote {out_csv}")
     return 1 if failures else 0
-
-
-def _float_items(s):
-    return [float(x) for x in s.replace(",", " ").split()]
 
 
 def build_parser():
@@ -133,26 +131,23 @@ def build_parser():
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("evaluate", help="greedy-decode a test set and report BLEU")
-    p.add_argument("--run", required=True, help="run directory containing checkpoint + vocabs")
-    p.add_argument("--src", default=None, help="test source file (default: run data)")
-    p.add_argument("--tgt", default=None, help="test reference file (default: run data)")
-    p.add_argument("--max-len", type=int, default=64)
+    _add_run(p)
     p.add_argument("--hypotheses", default=None, help="write decoded sentences here")
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("robustness", help="BLEU under test-time unk noise")
-    p.add_argument("--run", required=True)
-    p.add_argument("--src", default=None)
-    p.add_argument("--tgt", default=None)
-    p.add_argument("--rates", type=float, nargs="+", default=[0.0, 0.05, 0.10, 0.15])
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--eval-seed", type=int, default=0)
-    p.add_argument("--max-len", type=int, default=64)
+    _add_run(p)
+    p.add_argument("--rates", dest="eval.noise_rates", type=float, nargs="+", metavar="RATE",
+                   help="noise rates (default: the run's eval.noise_rates)")
+    p.add_argument("--samples", dest="eval.noise_samples", type=int,
+                   help="noisings per nonzero rate (default: the run's eval.noise_samples)")
+    p.add_argument("--eval-seed", dest="eval.seed", type=int,
+                   help="noise seed (default: the run's eval.seed)")
     p.set_defaults(fn=cmd_robustness)
 
     p = sub.add_parser("sweep", help="train once per source drop rate, report BLEU")
     _add_common(p)
-    p.add_argument("--rates", type=_float_items, default=None,
+    p.add_argument("--rates", dest="eval.sweep_rates",
                    help="comma/space separated drop rates (default: eval.sweep_rates)")
     p.set_defaults(fn=cmd_sweep)
     return parser

@@ -1,17 +1,18 @@
 """Run configuration: a flat key = value file with sections.
 
-Every key has a default; a fully defaulted config trains the desk-scale
-Unk-Tag model on the built-in synthetic task. Unknown sections or keys are
-rejected by name (with the line in the file when one exists).
+Each key is a field of a config dataclass, which holds its only default; a
+fully defaulted config trains the desk-scale Unk-Tag model on the built-in
+synthetic task. Unknown sections and keys are rejected by name.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 from .data import SyntheticTaskSpec
 from .dropping import DropConfig
+from .evaluation import NoiseEvalSpec
 from .model import ModelConfig
 from .objectives import ObjectiveConfig
 from .training import TrainConfig
@@ -44,11 +45,19 @@ class EvalConfig:
     max_decode_len: int = 64
     seed: int = 0
 
+    def __post_init__(self):
+        self.noise_spec()
+
+    def noise_spec(self):
+        """The robustness protocol these settings describe (validated)."""
+        return NoiseEvalSpec(rates=tuple(self.noise_rates), samples=self.noise_samples,
+                             seed=self.seed, max_decode_len=self.max_decode_len)
+
 
 @dataclass
 class RunConfig:
     data: DataConfig = field(default_factory=DataConfig)
-    model: ModelConfig = field(default_factory=lambda: ModelConfig())
+    model: ModelConfig = field(default_factory=ModelConfig)
     drop: DropConfig = field(default_factory=DropConfig)
     objective: ObjectiveConfig = field(default_factory=ObjectiveConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -60,73 +69,60 @@ def _float_list(s):
 
 
 def _bool(s):
-    low = str(s).strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
+    try:  # 1/0, true/false, yes/no, on/off
+        return configparser.ConfigParser.BOOLEAN_STATES[str(s).strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {s!r}") from None
 
 
-_SCHEMA = {
-    "data": {
-        "synthetic": _bool, "max_vocab": int,
-        "train_src": str, "train_tgt": str, "valid_src": str, "valid_tgt": str,
-        "test_src": str, "test_tgt": str, "vocab_src": str, "vocab_tgt": str,
-    },
-    "task": {
-        "source_vocab_size": int, "target_vocab_size": int, "mapping_seed": int,
-        "reorder_window": int, "n_train": int, "n_valid": int, "n_test": int,
-        "len_min": int, "len_max": int, "seed": int, "identity_mapping": _bool,
-    },
-    "model": {
-        "d_model": int, "d_ffn": int, "n_layers": int, "n_heads": int,
-        "p_dropout": float, "max_len": int, "shared_embedding": _bool,
-        "tie_dtp": _bool, "tie_output": _bool,
-    },
-    "drop": {"p_source": float, "p_target": float, "strategy": str, "seed": int},
-    "objective": {"alpha": float, "beta": float},
-    "train": {
-        "max_steps": int, "batch_size": int, "lr_factor": float, "warmup_steps": int,
-        "beta1": float, "beta2": float, "adam_eps": float, "clip_norm": float,
-        "validate_every": int, "seed": int, "use_token_drop": _bool,
-    },
-    "eval": {
-        "noise_rates": _float_list, "noise_samples": int, "sweep_rates": _float_list,
-        "max_decode_len": int, "seed": int,
-    },
-}
+_PARSERS = {"bool": _bool, "int": int, "float": float, "str": str, "tuple": _float_list}
+# Set by build_state from the vocabularies, so no config may set them.
+_DERIVED = {("model", "src_vocab_size"), ("model", "tgt_vocab_size")}
 
 
-def _target(cfg, section):
-    return {
-        "data": cfg.data, "task": cfg.data.task, "model": cfg.model, "drop": cfg.drop,
-        "objective": cfg.objective, "train": cfg.train, "eval": cfg.eval,
-    }[section]
+def _sections(cfg):
+    """Section name -> config dataclass, in file order; data.task is its own section."""
+    sections = {}
+    for f in fields(cfg):
+        sections[f.name] = sub = getattr(cfg, f.name)
+        for g in fields(sub):
+            if is_dataclass(getattr(sub, g.name)):
+                sections[g.name] = getattr(sub, g.name)
+    return sections
 
 
-def _find_line(path, key):
+def _keys(section, obj):
+    """Key -> value parser for every settable field of one section."""
+    return {f.name: _PARSERS[f.type] for f in fields(obj)
+            if (section, f.name) not in _DERIVED and not is_dataclass(getattr(obj, f.name))}
+
+
+def _find_line(path, section, key):
+    current = None
     try:
         with open(path, encoding="utf-8") as fh:
             for i, line in enumerate(fh, start=1):
-                if line.split("=")[0].strip() == key:
+                text = line.strip()
+                if text.startswith("[") and text.endswith("]"):
+                    current = text[1:-1].strip()
+                elif current == section and text.split("=")[0].strip().lower() == key:
                     return i
     except OSError:
         pass
     return None
 
 
-def _assign(cfg, section, key, raw, path=None):
-    if section not in _SCHEMA or key not in _SCHEMA[section]:
-        line = _find_line(path, key) if path else None
+def _assign(sections, section, key, raw, path=None):
+    keys = _keys(section, sections[section]) if section in sections else {}
+    if key not in keys:
+        line = _find_line(path, section, key) if path else None
         where = f" (line {line})" if line else ""
         raise ConfigError(f"unknown config key [{section}] {key}{where}")
-    parser = _SCHEMA[section][key]
     try:
-        value = parser(raw)
+        value = keys[key](raw)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r} ({exc})") from exc
-    setattr(_target(cfg, section), key, value)
+    setattr(sections[section], key, value)
 
 
 def load_config(path=None, overrides=()):
@@ -135,26 +131,24 @@ def load_config(path=None, overrides=()):
     Overrides are "section.key=value" strings (the CLI's repeatable --set).
     """
     cfg = RunConfig()
-    applied = []
+    sections = _sections(cfg)
     if path is not None:
         parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
+        if not parser.read(path):
             raise ConfigError(f"cannot read config file {path}")
         for section in parser.sections():
-            if section not in _SCHEMA:
+            if section not in sections:
                 raise ConfigError(f"unknown config section [{section}]")
             for key, raw in parser.items(section):
-                _assign(cfg, section, key, raw, path)
-                applied.append((section, key))
+                _assign(sections, section, key, raw, path)
     for ov in overrides:
         if "=" not in ov or "." not in ov.split("=", 1)[0]:
             raise ConfigError(f"override must look like section.key=value, got {ov!r}")
         dotted, raw = ov.split("=", 1)
         section, key = dotted.strip().split(".", 1)
-        _assign(cfg, section, key.strip(), raw.strip())
+        _assign(sections, section, key.strip(), raw.strip())
     # re-run dataclass validation on mutated configs
-    for sub in (cfg.data.task, cfg.model, cfg.drop, cfg.objective, cfg.train, cfg.eval):
+    for sub in sections.values():
         if hasattr(sub, "__post_init__"):
             sub.__post_init__()
     return cfg
@@ -163,10 +157,9 @@ def load_config(path=None, overrides=()):
 def dump_config(cfg, path):
     """Write the fully resolved config (all defaults filled in)."""
     parser = configparser.ConfigParser()
-    for section, keys in _SCHEMA.items():
-        target = _target(cfg, section)
+    for section, target in _sections(cfg).items():
         parser[section] = {}
-        for key in keys:
+        for key in _keys(section, target):
             value = getattr(target, key)
             if isinstance(value, tuple):
                 value = ", ".join(str(v) for v in value)

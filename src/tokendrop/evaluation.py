@@ -19,12 +19,12 @@ from .model import decode, encode
 from .vocab import BOS_ID, EOS_ID, PAD_ID, UNK_ID
 
 
-def greedy_decode(source_ids, state, max_len=64):
+def greedy_decode(source_ids, state, max_len):
     """Decode one sentence; argmax at every step, stop at EOS or max_len."""
     return greedy_decode_batch([source_ids], state, max_len)[0]
 
 
-def greedy_decode_batch(sources, state, max_len=64):
+def greedy_decode_batch(sources, state, max_len):
     """Greedy-decode a list of source id sequences; order-stable output.
 
     Ties in the argmax break toward the lowest token id.
@@ -114,16 +114,20 @@ def corpus_bleu(hypotheses, references, max_order=4):
 
 @dataclass
 class NoiseEvalSpec:
-    rates: tuple = (0.0, 0.05, 0.10, 0.15)
-    samples: int = 100
-    seed: int = 0
-    max_decode_len: int = 64
+    """The robustness protocol; its defaults live in config.EvalConfig."""
+
+    rates: tuple
+    samples: int
+    seed: int
+    max_decode_len: int
 
     def __post_init__(self):
-        if any(not 0.0 <= r <= 1.0 for r in self.rates):
-            raise ValueError("noise rates must lie in [0, 1]")
+        if not self.rates or any(not 0.0 <= r <= 1.0 for r in self.rates):
+            raise ValueError("noise rates must be given and lie in [0, 1]")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if self.max_decode_len < 1:
+            raise ValueError("max_decode_len must be >= 1")
 
 
 def _add_unk_noise(source_ids, rate, rng):

@@ -93,23 +93,22 @@ def write_csv(path, fieldnames, rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
-def evaluate_clean(state, test_pairs, max_decode_len=64):
+def evaluate_clean(state, test_pairs, max_decode_len):
     sources = [s for s, _ in test_pairs]
     refs = [r for _, r in test_pairs]
     hyps = greedy_decode_batch(sources, state, max_decode_len)
     return corpus_bleu(hyps, refs), hyps
 
 
-def drop_rate_sweep(cfg, rates, out_dir, on_row=None):
-    """Train one model per source drop rate (everything else fixed) and
-    record its clean test BLEU. Failures are reported per rate; remaining
-    rates still run. Returns the row list."""
+def drop_rate_sweep(cfg, out_dir, on_row=None):
+    """Train one model per source drop rate in cfg.eval.sweep_rates (everything
+    else fixed) and record its clean test BLEU. Failures are reported per rate;
+    remaining rates still run. Returns the row list."""
     rows = []
-    for rate in rates:
+    for rate in cfg.eval.sweep_rates:
         run_cfg = copy.deepcopy(cfg)
         run_cfg.drop.p_source = float(rate)
         sub_dir = os.path.join(out_dir, f"ps_{rate:g}")

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
+import zipfile
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -224,15 +226,17 @@ def run_training(state, train_pairs, valid_pairs=None, log=None, on_record=None)
     return log
 
 
+# TrainState's config attributes, in constructor order: checkpoint header keys
+_STATE_CONFIGS = (("model_cfg", ModelConfig), ("drop_cfg", DropConfig),
+                  ("obj_cfg", ObjectiveConfig), ("train_cfg", TrainConfig))
+
+
 def checkpoint(state, path):
     """Serialize the full training state (versioned header + named arrays)."""
     uniques = unique_parameters(state.params)
     header = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "model_cfg": asdict(state.model_cfg),
-        "drop_cfg": asdict(state.drop_cfg),
-        "obj_cfg": asdict(state.obj_cfg),
-        "train_cfg": asdict(state.train_cfg),
+        **{name: asdict(getattr(state, name)) for name, _ in _STATE_CONFIGS},
         "step": state.step,
         "param_order": [[name, list(t.data.shape)] for name, t in uniques],
         "corrupt_rng": state.corrupt_rng.bit_generator.state,
@@ -243,8 +247,17 @@ def checkpoint(state, path):
         arrays[f"param.{name}"] = t.data
         arrays[f"adam_m.{name}"] = state.adam_m[name]
         arrays[f"adam_v.{name}"] = state.adam_v[name]
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    # a failed write leaves the previous checkpoint in place
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **arrays)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 class CheckpointError(RuntimeError):
@@ -257,18 +270,15 @@ def restore(path):
         with np.load(path) as archive:
             arrays = {k: archive[k] for k in archive.files}
         header = json.loads(arrays["header"].tobytes().decode("utf-8"))
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"checkpoint {path} has a header that is not a JSON object")
     if header.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint format version {header.get('format_version')}")
 
     try:
-        state = TrainState(
-            ModelConfig(**header["model_cfg"]),
-            DropConfig(**header["drop_cfg"]),
-            ObjectiveConfig(**header["obj_cfg"]),
-            TrainConfig(**header["train_cfg"]),
-        )
+        state = TrainState(*(cls(**header[name]) for name, cls in _STATE_CONFIGS))
         by_name = dict(unique_parameters(state.params))
         for name, shape in header["param_order"]:
             if name not in by_name:

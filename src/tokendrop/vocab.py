@@ -34,9 +34,6 @@ class Vocabulary:
     def __contains__(self, token):
         return token in self.token_to_id
 
-    def encode_token(self, token):
-        return self.token_to_id.get(token, UNK_ID)
-
     def encode(self, tokens):
         return [self.token_to_id.get(t, UNK_ID) for t in tokens]
 

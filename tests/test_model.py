@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +182,17 @@ class TestHeads:
                               pad_mask=np.zeros((1, 2), dtype=bool))
         probs = md.rtd_head(enc, params).data
         assert ((probs > 0) & (probs < 1)).all()
+
+    def test_rtd_saturated_low_raises_no_warning(self):
+        # these weights map a hidden state of -1e3 to logits near -1e3, where exp(-z) overflows
+        cfg = tiny_cfg()
+        params = params_for(cfg)
+        enc = md.EncodedBatch(hidden=ad.Tensor(np.full((1, 2, cfg.d_model), -1e3)),
+                              pad_mask=np.zeros((1, 2), dtype=bool))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probs = md.rtd_head(enc, params).data
+        np.testing.assert_array_equal(probs, np.full((1, 2), 1e-12))
 
     def test_rtd_hand_computed_logistic(self):
         cfg = md.ModelConfig(d_model=2, d_ffn=2, n_layers=1, n_heads=1,

@@ -47,15 +47,16 @@ def states_equal(a, b):
 
 
 def edited_checkpoint(tmp_path, edit):
-    """A one-step checkpoint after `edit(arrays, header)` has changed it."""
+    """A one-step checkpoint after `edit(arrays, header)` has changed it; an
+    edit that stores its own arrays["header"] replaces the header bytes."""
     state, _, _ = small_setup(max_steps=1, validate_every=1)
     path = tmp_path / "ckpt.npz"
     checkpoint(state, path)
     with np.load(path) as archive:
         arrays = {k: archive[k] for k in archive.files}
-    header = json.loads(arrays["header"].tobytes().decode("utf-8"))
+    header = json.loads(arrays.pop("header").tobytes().decode("utf-8"))
     edit(arrays, header)
-    arrays["header"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
+    arrays.setdefault("header", np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8))
     np.savez(path, **arrays)
     return path
 
@@ -319,10 +320,29 @@ class TestCheckpoint:
         (lambda a, h: a.pop("adam_m.src_emb"), "adam_m.src_emb"),
         (lambda a, h: h.pop("step"), "step"),
         (lambda a, h: h["train_cfg"].update(momentum=0.5), "momentum"),
-    ], ids=["missing_array", "missing_header_key", "unknown_config_key"])
+        (lambda a, h: a.update(header=np.frombuffer(b"[1]", dtype=np.uint8)), "JSON object"),
+    ], ids=["missing_array", "missing_header_key", "unknown_config_key", "header_not_an_object"])
     def test_incomplete_checkpoint_rejected(self, tmp_path, edit, named):
         with pytest.raises(CheckpointError, match=named):
             restore(edited_checkpoint(tmp_path, edit))
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        state, train, _ = small_setup(max_steps=2, validate_every=2)
+        path = tmp_path / "ckpt.npz"
+        checkpoint(state, path)
+        before = path.read_bytes()
+        run_training(state, train)
+
+        def savez_then_fail(fh, **arrays):
+            fh.write(b"PK\x03\x04 half an archive")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", savez_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            checkpoint(state, path)
+        assert path.read_bytes() == before
+        assert restore(path).step == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.npz"]
 
     def test_missing_file_raises_checkpoint_error(self, tmp_path):
         with pytest.raises(CheckpointError):

@@ -321,9 +321,9 @@ def cross_entropy(logits, targets, ignore_id=None):
 
     `logits` is [n, V]; `targets` an integer vector of length n. Positions
     whose target equals `ignore_id` contribute nothing. If every position is
-    ignored the result is 0.0 and the returned tensor's `no_signal` flag is
-    set. The returned tensor also carries `token_count`, the number of
-    positions averaged over.
+    ignored, or there are none, the result is 0.0 with a zero gradient. The
+    returned tensor also carries `token_count`, the number of positions
+    averaged over.
     """
     logits = _as_tensor(logits)
     targets = np.asarray(targets)
@@ -338,7 +338,6 @@ def cross_entropy(logits, targets, ignore_id=None):
         raise IndexError(f"target id out of range for {v} classes")
     if count == 0:
         out = Tensor(np.float64(0.0))
-        out.no_signal = True
         out.token_count = 0
         _record((logits,), out, lambda g: (np.zeros_like(logits.data),))
         return out
@@ -351,7 +350,6 @@ def cross_entropy(logits, targets, ignore_id=None):
     nll = -log_probs[np.arange(n), safe_targets]
     loss = nll[valid].sum() / count
     out = Tensor(np.float64(loss))
-    out.no_signal = False
     out.token_count = count
 
     def backward_fn(g):

@@ -26,8 +26,8 @@ def _add_common(p):
 
 def _add_run(p):
     p.add_argument("--run", required=True, help="run directory containing checkpoint + vocabs")
-    p.add_argument("--src", default=None, help="test source file (default: run data)")
-    p.add_argument("--tgt", default=None, help="test reference file (default: run data)")
+    p.add_argument("--src", default=None, help="test source file (default: the run's test set)")
+    p.add_argument("--tgt", default=None, help="test reference file (default: the run's test set)")
     p.add_argument("--max-len", dest="eval.max_decode_len", type=int,
                    help="decode length (default: the run's eval.max_decode_len)")
 
@@ -55,8 +55,10 @@ def _load_run(args):
         if len(vocab) != size:
             raise CheckpointError(f"{side} vocabulary has {len(vocab)} entries but the "
                                   f"checkpoint was trained with {size}")
-    src = args.src or os.path.join(args.run, "data", "test.src")
-    tgt = args.tgt or os.path.join(args.run, "data", "test.tgt")
+    test_src, test_tgt = cfg.data.test_src, cfg.data.test_tgt
+    if cfg.data.synthetic:  # train_run wrote the generated test split into the run
+        test_src, test_tgt = (os.path.join(args.run, "data", "test." + e) for e in ("src", "tgt"))
+    src, tgt = args.src or test_src, args.tgt or test_tgt
     return cfg, state, tgt_vocab, encode_pairs(load_parallel(src, tgt), src_vocab, tgt_vocab)
 
 

@@ -2,7 +2,9 @@
 
 Each key is a field of a config dataclass, which holds its only default; a
 fully defaulted config trains the desk-scale Unk-Tag model on the built-in
-synthetic task. Unknown sections and keys are rejected by name.
+synthetic task. The paper's Transformer baseline is the same config with
+`drop.p_source=0 drop.p_target=0 objective.alpha=0 objective.beta=0`.
+Unknown sections and keys, and keys under [DEFAULT], are rejected by name.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ class EvalConfig:
 
     def __post_init__(self):
         self.noise_spec()
+        if not self.sweep_rates or any(not 0.0 <= r <= 1.0 for r in self.sweep_rates):
+            raise ValueError("sweep rates must be given and lie in [0, 1]")
 
     def noise_spec(self):
         """The robustness protocol these settings describe (validated)."""
@@ -136,6 +140,9 @@ def load_config(path=None, overrides=()):
         parser = configparser.ConfigParser()
         if not parser.read(path):
             raise ConfigError(f"cannot read config file {path}")
+        if parser.defaults():  # configparser would copy them into every section
+            raise ConfigError("keys under [DEFAULT] are not supported: "
+                              + ", ".join(parser.defaults()))
         for section in parser.sections():
             if section not in sections:
                 raise ConfigError(f"unknown config section [{section}]")

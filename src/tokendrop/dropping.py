@@ -1,5 +1,7 @@
 """Token-drop corruption: Bernoulli masks plus three replacement strategies.
 
+This is the only module that knows the strategies: a CorruptedBatch carries
+the ids the model embeds and the positions whose embeddings it zeroes.
 Corruption touches source sequences and decoder inputs only; teacher-forcing
 labels are never rewritten. Structural tokens (PAD, BOS, EOS) are never
 droppable.
@@ -35,15 +37,20 @@ class DropConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
 
 
+@dataclass
 class CorruptedBatch:
     """One corrupted id matrix plus the mask and originals needed by the
-    auxiliary objectives."""
+    auxiliary objectives.
 
-    def __init__(self, corrupted_ids, mask, original_ids, droppable):
-        self.corrupted_ids = corrupted_ids
-        self.mask = mask
-        self.original_ids = original_ids
-        self.droppable = droppable
+    `zeroed` marks the positions whose embeddings the model zeroes: the mask
+    under the zero-out strategy, None when no embedding is zeroed.
+    """
+
+    corrupted_ids: np.ndarray
+    mask: np.ndarray
+    original_ids: np.ndarray
+    droppable: np.ndarray
+    zeroed: np.ndarray | None = None
 
 
 def droppable_positions(ids):
@@ -67,7 +74,7 @@ def sample_mask(droppable, p, rng):
 
 def _apply_strategy(ids, mask, strategy):
     if strategy == ZERO_OUT:
-        return ids.copy()  # zeroing happens at the embedding, keyed by the mask
+        return ids.copy()  # the model zeroes these embeddings (CorruptedBatch.zeroed)
     replacement = UNK_ID if strategy == UNK_TAG else DROPPED_ID
     return np.where(mask, replacement, ids)
 
@@ -75,7 +82,8 @@ def _apply_strategy(ids, mask, strategy):
 def corrupt_ids(ids, p, strategy, rng):
     droppable = droppable_positions(ids)
     mask = sample_mask(droppable, p, rng)
-    return CorruptedBatch(_apply_strategy(ids, mask, strategy), mask, ids.copy(), droppable)
+    return CorruptedBatch(_apply_strategy(ids, mask, strategy), mask, ids.copy(), droppable,
+                          zeroed=mask if strategy == ZERO_OUT else None)
 
 
 def no_drop(ids):

@@ -30,19 +30,18 @@ def greedy_decode_batch(sources, state, max_len):
     Ties in the argmax break toward the lowest token id.
     """
     cfg = state.model_cfg
-    strategy = state.drop_cfg.strategy
     b = len(sources)
     src_len = max(len(s) for s in sources)
     src = np.full((b, src_len), PAD_ID, dtype=np.int64)
     for i, s in enumerate(sources):
         src[i, : len(s)] = s
-    enc = encode(no_drop(src), state.params, cfg, strategy, train=False)
+    enc = encode(no_drop(src), state.params, cfg)
 
     ys = np.full((b, 1), BOS_ID, dtype=np.int64)
     finished = np.zeros(b, dtype=bool)
     for _ in range(max_len):
         tgt = no_drop(ys)
-        logits = decode(tgt, enc, state.params, cfg, strategy, train=False)
+        logits = decode(tgt, enc, state.params, cfg)
         nxt = np.argmax(logits.data[:, -1, :], axis=-1)
         nxt = np.where(finished, PAD_ID, nxt)
         ys = np.concatenate([ys, nxt[:, None]], axis=1)

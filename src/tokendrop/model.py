@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .dropping import ZERO_OUT
+from .vocab import PAD_ID
 
 
 @dataclass
@@ -140,16 +140,17 @@ def _dropout(x, p, train, rng):
     return ad.mul(x, keep)
 
 
-def embed(params, ids, mask, strategy, side, cfg, train=False, rng=None):
-    """Embedding lookup scaled by sqrt(d_model), plus sinusoidal positions.
+def embed(table, batch, cfg, *, train=False, rng=None):
+    """Embedding lookup of a CorruptedBatch's ids scaled by sqrt(d_model),
+    plus sinusoidal positions.
 
-    Under the zero-out strategy, rows where `mask` is set are zeroed before
-    the positional encoding is added, so position information survives.
+    Rows where `batch.zeroed` is set are zeroed before the positional
+    encoding is added, so position information survives.
     """
-    table = params["src_emb"] if side == "src" else params["tgt_emb"]
+    ids = batch.corrupted_ids
     x = ad.mul(ad.embedding(table, ids), math.sqrt(cfg.d_model))
-    if strategy == ZERO_OUT and mask is not None:
-        x = ad.mul(x, 1.0 - np.asarray(mask, dtype=np.float64)[:, :, None])
+    if batch.zeroed is not None:
+        x = ad.mul(x, 1.0 - np.asarray(batch.zeroed, dtype=np.float64)[:, :, None])
     length = ids.shape[1]
     if length > cfg.max_len:
         raise ValueError(f"sequence length {length} exceeds max_len {cfg.max_len}")
@@ -200,12 +201,10 @@ def _ffn(params, prefix, x):
     return ad.add(ad.matmul(h, params[f"{prefix}.w2"]), params[f"{prefix}.b2"])
 
 
-def encode(source, params, cfg, strategy, train=False, rng=None):
+def encode(source, params, cfg, *, train=False, rng=None):
     """Run the encoder over a corrupted source batch."""
-    from .vocab import PAD_ID
-
     pad_mask = source.original_ids == PAD_ID
-    x = embed(params, source.corrupted_ids, source.mask, strategy, "src", cfg, train, rng)
+    x = embed(params["src_emb"], source, cfg, train=train, rng=rng)
     bias = _pad_bias(pad_mask)
     for i in range(cfg.n_layers):
         attn = _attention(params, f"enc{i}.attn", x, x, bias, cfg)
@@ -214,14 +213,11 @@ def encode(source, params, cfg, strategy, train=False, rng=None):
     return EncodedBatch(hidden=x, pad_mask=pad_mask)
 
 
-def decode(target_input, enc, params, cfg, strategy, train=False, rng=None):
+def decode(target_input, enc, params, cfg, *, train=False, rng=None):
     """Run the decoder; returns translation logits [batch, tgt_len, V_target]."""
-    from .vocab import PAD_ID
-
-    ids = target_input.corrupted_ids
     tgt_pad = target_input.original_ids == PAD_ID
-    x = embed(params, ids, target_input.mask, strategy, "tgt", cfg, train, rng)
-    self_bias = _causal_bias(ids.shape[1]) + _pad_bias(tgt_pad)
+    x = embed(params["tgt_emb"], target_input, cfg, train=train, rng=rng)
+    self_bias = _causal_bias(tgt_pad.shape[1]) + _pad_bias(tgt_pad)
     cross_bias = _pad_bias(enc.pad_mask)
     for i in range(cfg.n_layers):
         attn = _attention(params, f"dec{i}.self", x, x, self_bias, cfg)

@@ -7,7 +7,6 @@ formed by the same additions that the report stores; no re-derivation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,19 +33,6 @@ class LossReport:
     target_tokens: int = 0
     droppable_tokens: int = 0
     dropped_tokens: int = 0
-    no_signal: bool = False
-
-    def perplexity(self):
-        return math.exp(self.l_m)
-
-    def to_dict(self):
-        return {
-            "l_m": self.l_m,
-            "l_rtd": self.l_rtd,
-            "l_dtp": self.l_dtp,
-            "joint": self.joint,
-            "perplexity": self.perplexity(),
-        }
 
 
 class NonFiniteLossError(RuntimeError):
@@ -66,34 +52,22 @@ def translation_loss(logits, target_output, pad_id):
 
 def rtd_loss(probs, mask, droppable):
     """Binary cross-entropy of drop probabilities against the true mask,
-    averaged over droppable positions. Returns a tensor carrying a
-    `no_signal` flag when nothing was droppable.
+    averaged over droppable positions; 0 when nothing was droppable.
 
     `probs` must lie strictly inside (0, 1), as `model.rtd_head` guarantees
     by clipping; an exact 0 or 1 makes the loss infinite.
     """
     droppable = np.asarray(droppable, dtype=bool)
-    count = int(droppable.sum())
-    if count == 0:
-        out = ad.mul(ad.tsum(probs), 0.0)
-        out.no_signal = True
-        return out
     labels = np.asarray(mask, dtype=np.float64)
     per_pos = ad.add(ad.mul(ad.log(probs), labels),
                      ad.mul(ad.log(ad.sub(1.0, probs)), 1.0 - labels))
     masked = ad.mul(per_pos, droppable.astype(np.float64))
-    out = ad.mul(ad.tsum(masked), -1.0 / count)
-    out.no_signal = False
-    return out
+    return ad.mul(ad.tsum(masked), -1.0 / max(int(droppable.sum()), 1))
 
 
 def dtp_loss(dtp_logits, original_ids):
-    """Mean NLL of the true original token at each dropped position."""
-    original_ids = np.asarray(original_ids)
-    if dtp_logits.data.shape[0] == 0:
-        out = ad.mul(ad.tsum(dtp_logits), 0.0)
-        out.no_signal = True
-        return out
+    """Mean NLL of the true original token at each dropped position; 0 when
+    nothing was dropped."""
     return ad.cross_entropy(dtp_logits, original_ids)
 
 
@@ -112,6 +86,5 @@ def joint_loss(l_m, l_rtd, l_dtp, cfg):
         l_rtd=float(l_rtd.data),
         l_dtp=float(l_dtp.data),
         joint=float(joint.data),
-        no_signal=bool(getattr(l_rtd, "no_signal", False) or getattr(l_dtp, "no_signal", False)),
     )
     return joint, report

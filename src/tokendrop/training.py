@@ -25,7 +25,7 @@ from .model import (ModelConfig, decode, dtp_head, encode, init_parameters,
 from .objectives import ObjectiveConfig, dtp_loss, joint_loss, rtd_loss, translation_loss
 from .vocab import PAD_ID
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2  # raised whenever a header config gains or loses a field
 
 
 @dataclass
@@ -40,7 +40,6 @@ class TrainConfig:
     clip_norm: float = 1.0
     validate_every: int = 200
     seed: int = 0
-    use_token_drop: bool = True
 
     def __post_init__(self):
         if self.lr_factor < 0:
@@ -50,7 +49,7 @@ class TrainConfig:
 
 
 def _spawn_rngs(seed, drop_seed):
-    # Independent streams: skipping corruption must not perturb init/dropout.
+    # Independent streams: the drop rates and the drop seed must not perturb init/dropout.
     return (np.random.default_rng([seed, 1]),
             np.random.default_rng([seed, 2, drop_seed]),
             np.random.default_rng([seed, 3]))
@@ -94,22 +93,18 @@ def _zero_loss():
 def train_step(batch, state):
     """One corrupted forward pass, backward pass, and Adam update."""
     cfg, drop, obj, tc = state.model_cfg, state.drop_cfg, state.obj_cfg, state.train_cfg
-    if tc.use_token_drop:
-        src, tgt_in = corrupt(batch, drop, state.corrupt_rng)
-    else:
-        src, tgt_in = no_drop(batch.source), no_drop(batch.target_input)
-    strategy = drop.strategy
+    src, tgt_in = corrupt(batch, drop, state.corrupt_rng)
 
     uniques = unique_parameters(state.params)
     with ad.GradTape():
-        enc = encode(src, state.params, cfg, strategy, train=True, rng=state.dropout_rng)
-        logits = decode(tgt_in, enc, state.params, cfg, strategy, train=True, rng=state.dropout_rng)
+        enc = encode(src, state.params, cfg, train=True, rng=state.dropout_rng)
+        logits = decode(tgt_in, enc, state.params, cfg, train=True, rng=state.dropout_rng)
         l_m = translation_loss(logits, batch.target_output, PAD_ID)
-        if tc.use_token_drop and obj.alpha > 0:
+        if obj.alpha > 0:
             l_rtd = rtd_loss(rtd_head(enc, state.params), src.mask, src.droppable)
         else:
             l_rtd = _zero_loss()
-        if tc.use_token_drop and obj.beta > 0:
+        if obj.beta > 0:
             bi, pi, orig, _ = drop_records(src)
             l_dtp = dtp_loss(dtp_head(enc, bi, pi, state.params, cfg), orig)
         else:
@@ -144,9 +139,8 @@ def validate(valid_batches, state):
     total_tokens = 0
     for batch in valid_batches:
         src, tgt_in = no_drop(batch.source), no_drop(batch.target_input)
-        enc = encode(src, state.params, state.model_cfg, state.drop_cfg.strategy, train=False)
-        logits = decode(tgt_in, enc, state.params, state.model_cfg,
-                        state.drop_cfg.strategy, train=False)
+        enc = encode(src, state.params, state.model_cfg)
+        logits = decode(tgt_in, enc, state.params, state.model_cfg)
         loss = translation_loss(logits, batch.target_output, PAD_ID)
         total_nll += float(loss.data) * loss.token_count
         total_tokens += loss.token_count

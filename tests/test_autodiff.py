@@ -135,11 +135,14 @@ class TestCrossEntropy:
         assert float(partial.data) == pytest.approx(float(alone.data), abs=1e-12)
         assert partial.token_count == 1
 
-    def test_all_ignored_is_zero_with_flag(self):
-        out = ad.cross_entropy(t(np.ones((2, 3))), np.array([7, 7]), ignore_id=7)
+    def test_all_ignored_is_zero_with_zero_gradient(self):
+        logits = t(np.ones((2, 3)), grad=True)
+        with ad.GradTape():
+            out = ad.cross_entropy(logits, np.array([7, 7]), ignore_id=7)
+            ad.backward(out, params=[logits])
         assert float(out.data) == 0.0
-        assert out.no_signal
         assert out.token_count == 0
+        np.testing.assert_array_equal(logits.grad, np.zeros((2, 3)))
 
     def test_out_of_range_target(self):
         with pytest.raises(IndexError):

@@ -59,6 +59,22 @@ def test_robustness_flags_override_the_run(run_dir):
     assert all(float(r["std_bleu"]) == 0.0 for r in rows)  # one sample per rate
 
 
+def test_evaluate_reads_the_test_files_of_a_parallel_corpus_run(tmp_path):
+    corpus = {"train": ["a b c", "b c", "c a b", "a"], "valid": ["b a"], "test": ["c b", "a c a"]}
+    files = []
+    for split, lines in corpus.items():
+        for side in ("src", "tgt"):
+            path = tmp_path / f"{split}.{side}"
+            path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            files.append(f"data.{split}_{side}={path}")
+    out = str(tmp_path / "run")
+    assert main(["train", "--out", out, *sets([*TINY, "data.synthetic=false", *files])]) == 0
+    assert not os.path.exists(os.path.join(out, "data"))
+    hyps = tmp_path / "hyps.txt"
+    assert main(["evaluate", "--run", out, "--hypotheses", str(hyps)]) == 0
+    assert len(hyps.read_text().splitlines()) == 2
+
+
 @pytest.mark.parametrize("argv", [["robustness", "--samples", "0"],
                                   ["robustness", "--rates", "1.5"],
                                   ["evaluate", "--max-len", "0"]])

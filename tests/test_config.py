@@ -111,6 +111,15 @@ class TestFile:
         with pytest.raises(ConfigError, match=r"\[objective\] seed \(line 5\)"):
             load_config(path)
 
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nseed = 1\n",  # was ignored: every seed stayed 0
+        "[DEFAULT]\nseed = 1\n\n[train]\nmax_steps = 9\n",  # set train.seed=1
+        "[DEFAULT]\nseed = 1\n\n[model]\nd_model = 32\n",  # blamed [model] seed
+    ], ids=["alone", "next_to_train", "next_to_model"])
+    def test_default_section_keys_rejected_by_name(self, tmp_path, text):
+        with pytest.raises(ConfigError, match=r"\[DEFAULT\].*: seed$"):
+            load_config(write(tmp_path, text))
+
     def test_overrides_apply_after_the_file(self, tmp_path):
         path = write(tmp_path, "[train]\nseed = 4\nmax_steps = 9\n")
         cfg = load_config(path, ["train.seed=5"])
@@ -128,6 +137,8 @@ class TestEvalValues:
         ("eval.noise_rates=-0.1", "rates"),
         ("eval.noise_rates=", "rates"),
         ("eval.max_decode_len=0", "max_decode_len"),
+        ("eval.sweep_rates=", "sweep rates"),
+        ("eval.sweep_rates=2.0", "sweep rates"),
     ])
     def test_bad_eval_value_rejected_on_load(self, tmp_path, override, message):
         with pytest.raises(ValueError, match=message):

@@ -7,7 +7,8 @@ import pytest
 from tokendrop import autodiff as ad
 from tokendrop import model as md
 from tokendrop.data import ParallelBatch
-from tokendrop.dropping import DROP_TAG, UNK_TAG, ZERO_OUT, DropConfig, corrupt, drop_records, no_drop
+from tokendrop.dropping import (DROP_TAG, UNK_TAG, ZERO_OUT, CorruptedBatch, DropConfig, corrupt,
+                                corrupt_ids, drop_records, no_drop)
 from tokendrop.vocab import PAD_ID, UNK_ID
 
 
@@ -50,16 +51,18 @@ class TestEmbed:
         params = params_for(cfg)
         ids = np.array([[5, 6, 7]])
         mask = np.array([[False, True, False]])
-        out = md.embed(params, ids, mask, ZERO_OUT, "src", cfg)
+        out = md.embed(params["src_emb"], CorruptedBatch(ids, mask, ids, mask, zeroed=mask), cfg)
         pos = md.sinusoidal_encoding(cfg.max_len, cfg.d_model)
         np.testing.assert_allclose(out.data[0, 1], pos[1], atol=1e-12)
+        expected = params["src_emb"].data[5] * math.sqrt(cfg.d_model) + pos[0]
+        np.testing.assert_allclose(out.data[0, 0], expected, atol=1e-12)
 
     def test_strategies_agree_with_empty_mask(self):
         cfg = tiny_cfg()
         params = params_for(cfg)
         ids = np.array([[5, 6, 7]])
-        mask = np.zeros_like(ids, dtype=bool)
-        outs = [md.embed(params, ids, mask, s, "src", cfg).data
+        outs = [md.embed(params["src_emb"], corrupt_ids(ids, 0.0, s, np.random.default_rng(0)),
+                         cfg).data
                 for s in (ZERO_OUT, DROP_TAG, UNK_TAG)]
         np.testing.assert_array_equal(outs[0], outs[1])
         np.testing.assert_array_equal(outs[1], outs[2])
@@ -69,7 +72,8 @@ class TestEmbed:
         params = params_for(cfg)
         ids = np.array([[5, UNK_ID, 7]])  # corruption already in ids
         mask = np.array([[False, True, False]])
-        out = md.embed(params, ids, mask, UNK_TAG, "src", cfg)
+        out = md.embed(params["src_emb"], CorruptedBatch(ids, mask, np.array([[5, 6, 7]]), mask),
+                       cfg)
         pos = md.sinusoidal_encoding(cfg.max_len, cfg.d_model)
         expected = params["src_emb"].data[UNK_ID] * math.sqrt(cfg.d_model) + pos[1]
         np.testing.assert_allclose(out.data[0, 1], expected, atol=1e-12)
@@ -77,11 +81,11 @@ class TestEmbed:
     def test_out_of_range_id(self):
         cfg = tiny_cfg()
         with pytest.raises(IndexError):
-            md.embed(params_for(cfg), np.array([[99]]), None, UNK_TAG, "src", cfg)
+            md.embed(params_for(cfg)["src_emb"], no_drop(np.array([[99]])), cfg)
 
 
 def encode_ids(ids, params, cfg):
-    return md.encode(no_drop(np.asarray(ids)), params, cfg, UNK_TAG)
+    return md.encode(no_drop(np.asarray(ids)), params, cfg)
 
 
 class TestEncode:
@@ -139,7 +143,7 @@ class TestEncode:
 class TestDecode:
     def run_decode(self, tgt_ids, params, cfg, src_ids=((5, 6),)):
         enc = encode_ids(np.asarray(src_ids), params, cfg)
-        return md.decode(no_drop(np.asarray(tgt_ids)), enc, params, cfg, UNK_TAG)
+        return md.decode(no_drop(np.asarray(tgt_ids)), enc, params, cfg)
 
     def test_logits_shape(self):
         cfg = tiny_cfg()
@@ -164,6 +168,20 @@ class TestDecode:
         assert "out_proj" not in params
         out = self.run_decode([[1, 5]], params, cfg)
         assert out.data.shape == (1, 2, cfg.tgt_vocab_size)
+
+
+def test_mode_arguments_are_keyword_only():
+    # a stray positional, such as a strategy string, must not bind to `train`
+    cfg = tiny_cfg()
+    params = params_for(cfg)
+    src, tgt = no_drop(np.array([[5, 6]])), no_drop(np.array([[1, 5]]))
+    enc = md.encode(src, params, cfg)
+    with pytest.raises(TypeError):
+        md.encode(src, params, cfg, UNK_TAG)
+    with pytest.raises(TypeError):
+        md.decode(tgt, enc, params, cfg, UNK_TAG)
+    with pytest.raises(TypeError):
+        md.embed(params["src_emb"], src, cfg, UNK_TAG)
 
 
 class TestHeads:
@@ -236,7 +254,7 @@ class TestHeads:
 
         before = params["src_emb"].data.copy()
         params["src_emb"].data -= 0.1 * params["src_emb"].grad
-        after_embed = md.embed(params, ids, None, UNK_TAG, "src", cfg)
+        after_embed = md.embed(params["src_emb"], no_drop(ids), cfg)
         reference = md.embed  # same lookup path sees the mutation
         assert not np.allclose(
             after_embed.data,
@@ -265,8 +283,8 @@ class TestFullLossGradient:
                 saved = params[name]
                 params[name] = x
                 try:
-                    enc = md.encode(src, params, cfg, dc.strategy)
-                    logits = md.decode(tgt, enc, params, cfg, dc.strategy)
+                    enc = md.encode(src, params, cfg)
+                    logits = md.decode(tgt, enc, params, cfg)
                     l_m = translation_loss(logits, batch.target_output, PAD_ID)
                     l_rtd = rtd_loss(md.rtd_head(enc, params), src.mask, src.droppable)
                     l_dtp = dtp_loss(md.dtp_head(enc, bi, pi, params, cfg), orig)

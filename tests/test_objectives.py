@@ -77,11 +77,13 @@ class TestRtdLoss:
         loss = ob.rtd_loss(t(probs), labels, droppable)
         assert float(loss.data) == pytest.approx(-math.log(0.9), abs=1e-12)
 
-    def test_no_droppable_positions_flag(self):
-        loss = ob.rtd_loss(t(np.full((1, 2), 0.5)), np.zeros((1, 2), dtype=bool),
-                           np.zeros((1, 2), dtype=bool))
+    def test_no_droppable_positions_give_zero_loss_and_gradient(self):
+        probs = ad.Tensor(np.full((1, 2), 0.5), requires_grad=True)
+        with ad.GradTape():
+            loss = ob.rtd_loss(probs, np.zeros((1, 2), dtype=bool), np.zeros((1, 2), dtype=bool))
+            ad.backward(loss, params=[probs])
         assert float(loss.data) == 0.0
-        assert loss.no_signal
+        np.testing.assert_array_equal(probs.grad, np.zeros((1, 2)))
 
     def test_saturated_rtd_head_gives_finite_loss_and_gradients(self):
         from tokendrop import model as md
@@ -109,9 +111,13 @@ class TestRtdLoss:
 
 class TestDtpLoss:
     def test_empty_dropped_set(self):
-        loss = ob.dtp_loss(t(np.zeros((0, 7))), np.array([], dtype=int))
+        proj = ad.Tensor(np.ones((3, 7)), requires_grad=True)
+        with ad.GradTape():
+            # no hidden states at dropped positions: [0, d] @ [d, V] logits
+            loss = ob.dtp_loss(ad.matmul(t(np.zeros((0, 3))), proj), np.array([], dtype=int))
+            ad.backward(loss, params=[proj])
         assert float(loss.data) == 0.0
-        assert loss.no_signal
+        np.testing.assert_array_equal(proj.grad, np.zeros((3, 7)))
 
     def test_uniform_ln_v(self):
         loss = ob.dtp_loss(t(np.zeros((4, 11))), np.array([5, 6, 7, 8]))
@@ -156,12 +162,6 @@ class TestJointLoss:
         assert report.joint == lm + alpha * lrtd + beta * ldtp  # bitwise
         assert report.joint - (report.l_m + alpha * report.l_rtd + beta * report.l_dtp) == 0.0
 
-    def test_report_serialization_keys(self):
-        _, report = ob.joint_loss(t(1.0), t(0.5), t(0.25), ob.ObjectiveConfig())
-        d = report.to_dict()
-        assert set(d) == {"l_m", "l_rtd", "l_dtp", "joint", "perplexity"}
-        assert d["perplexity"] == pytest.approx(math.e, abs=1e-12)
-
 
 class TestBatchPermutationInvariance:
     def test_losses_invariant_under_row_permutation(self):
@@ -201,8 +201,8 @@ class TestPerObjectiveGradientScaling:
             for _, p in uniques:
                 p.zero_grad()
             with ad.GradTape():
-                enc = md.encode(src, params, cfg, "unk_tag")
-                logits = md.decode(tgt, enc, params, cfg, "unk_tag")
+                enc = md.encode(src, params, cfg)
+                logits = md.decode(tgt, enc, params, cfg)
                 losses = {
                     "m": lambda: ob.translation_loss(logits, batch.target_output, PAD_ID),
                     "rtd": lambda: ob.rtd_loss(md.rtd_head(enc, params), src.mask, src.droppable),

@@ -15,7 +15,13 @@ from tokendrop.training import (CheckpointError, RunLog, TrainConfig, TrainState
 from tokendrop.vocab import PAD_ID, Vocabulary
 
 
-def small_setup(seed=0, **train_kw):
+def baseline():
+    """The paper's Transformer baseline: no token drop, no auxiliary losses."""
+    return dict(drop=DropConfig(p_source=0.0, p_target=0.0),
+                objective=ObjectiveConfig(alpha=0.0, beta=0.0))
+
+
+def small_setup(seed=0, drop=None, objective=None, **train_kw):
     task = SyntheticTaskSpec(source_vocab_size=30, target_vocab_size=30,
                              n_train=200, n_valid=40, n_test=40,
                              reorder_window=2, len_min=3, len_max=8, seed=seed)
@@ -29,7 +35,7 @@ def small_setup(seed=0, **train_kw):
     tc = TrainConfig(max_steps=train_kw.pop("max_steps", 10), batch_size=16,
                      validate_every=train_kw.pop("validate_every", 5),
                      seed=seed, **train_kw)
-    state = TrainState(mc, DropConfig(), ObjectiveConfig(), tc)
+    state = TrainState(mc, drop or DropConfig(), objective or ObjectiveConfig(), tc)
     return state, train, valid
 
 
@@ -134,9 +140,10 @@ class TestTrainStep:
         assert untouched == []
 
     def test_without_token_drop_auxiliary_losses_are_zero(self):
-        state, train, _ = small_setup(use_token_drop=False)
+        state, train, _ = small_setup(**baseline())
         batch = make_batches(train, 8, np.random.default_rng(0))[0]
         report = train_step(batch, state)
+        assert report.dropped_tokens == 0
         assert report.l_rtd == 0.0 and report.l_dtp == 0.0
         assert report.joint == report.l_m  # bitwise
 
@@ -351,10 +358,14 @@ class TestCheckpoint:
 
 class TestBaselineIsolation:
     def test_disabling_token_drop_does_not_shift_init_or_dropout(self):
-        # with and without corruption, identical seeds give identical init
-        a, *_ = small_setup(use_token_drop=True)
-        b, *_ = small_setup(use_token_drop=False)
+        # with and without corruption, identical seeds give identical init, and a
+        # train step draws the same dropout masks
+        a, train, _ = small_setup()
+        b, *_ = small_setup(**baseline())
         sa, sb = snapshot(a), snapshot(b)
         assert all(np.array_equal(sa[n], sb[n]) for n in sa)
+        batch = make_batches(train, 8, np.random.default_rng(0))[0]
+        for state in (a, b):
+            train_step(batch, state)
         assert (json.dumps(a.dropout_rng.bit_generator.state)
                 == json.dumps(b.dropout_rng.bit_generator.state))

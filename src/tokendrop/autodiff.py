@@ -250,16 +250,15 @@ def tmean(a, axis=None, keepdims=False):
 
 
 def softmax(a, axis):
-    """Numerically stabilized softmax along `axis`."""
+    """Numerically stabilized softmax along `axis`: outputs in [0, 1], slices
+    summing to 1, and an exact 0 where exp underflows, never a (slow) subnormal."""
     a = _as_tensor(a)
     if not -a.data.ndim <= axis < a.data.ndim:
         raise ShapeError(f"softmax axis {axis} invalid for shape {a.data.shape}")
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=axis, keepdims=True)
-    # keep outputs strictly positive even when exp underflows; the floor is
-    # denormal, so the sum stays 1 within 1e-9
-    s = np.maximum(s, 1e-320)
+    s[s < np.finfo(np.float64).tiny] = 0.0
     out = Tensor(s)
 
     def backward_fn(g):

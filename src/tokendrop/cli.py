@@ -12,7 +12,7 @@ from .objectives import NonFiniteLossError
 from .pipeline import (CHECKPOINT_NAME, CONFIG_SNAPSHOT_NAME, VOCAB_SRC_NAME, VOCAB_TGT_NAME,
                        drop_rate_sweep, evaluate_clean, train_run, write_csv)
 from .data import encode_pairs, load_parallel
-from .training import CheckpointError, restore
+from .training import CheckpointError, NonFiniteGradientError, restore
 from .vocab import Vocabulary
 
 
@@ -159,7 +159,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, CheckpointError, NonFiniteLossError, OSError, ValueError) as exc:
+    except (ConfigError, CheckpointError, NonFiniteLossError, NonFiniteGradientError, OSError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -33,6 +33,7 @@ class LossReport:
     target_tokens: int = 0
     droppable_tokens: int = 0
     dropped_tokens: int = 0
+    grad_norm: float = 0.0  # global, before clipping; set by training.train_step
 
 
 class NonFiniteLossError(RuntimeError):

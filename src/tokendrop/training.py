@@ -76,10 +76,15 @@ class TrainState:
                 * min(step**-0.5, step * self.train_cfg.warmup_steps**-1.5))
 
 
+class NonFiniteGradientError(RuntimeError):
+    """The global gradient norm is not finite; the step was not applied."""
+
+
 def clip_gradients(grads, max_norm):
-    """Scale all gradients so the global L2 norm is at most max_norm."""
+    """Scale all gradients so the global L2 norm is at most max_norm; return the
+    norm before scaling. A non-finite norm leaves the gradients as they are."""
     total = math.sqrt(sum(float((g * g).sum()) for g in grads))
-    if total > max_norm:
+    if max_norm < total < math.inf:
         scale = max_norm / total
         for g in grads:
             g *= scale
@@ -115,7 +120,11 @@ def train_step(batch, state):
         report.dropped_tokens = int(src.mask.sum())
         ad.backward(joint, params=[t for _, t in uniques])
 
-    clip_gradients([t.grad for _, t in uniques], tc.clip_norm)
+    report.grad_norm = clip_gradients([t.grad for _, t in uniques], tc.clip_norm)
+    if not math.isfinite(report.grad_norm):
+        for _, t in uniques:  # a later step must not accumulate onto these
+            t.zero_grad()
+        raise NonFiniteGradientError(f"global gradient norm is non-finite: {report.grad_norm}")
     state.step += 1
     lr = state.learning_rate(state.step)
     b1, b2, eps = tc.beta1, tc.beta2, tc.adam_eps
@@ -184,8 +193,10 @@ def run_training(state, train_pairs, valid_pairs=None, log=None, on_record=None)
 
     A record's `l_m`, `l_rtd`, `l_dtp` and `joint` are means over the steps
     since the previous record, computed in training mode; they are not the
-    loss at the record's step. `valid_ppl` is measured at the record's step on
-    clean input (see `validate`), or is None without `valid_pairs`.
+    loss at the record's step. So is `grad_norm`, the global gradient norm
+    before clipping. `lr` is the rate the record's step used. `valid_ppl` is
+    measured at the record's step on clean input (see `validate`), or is None
+    without `valid_pairs`.
     """
     tc = state.train_cfg
     log = log if log is not None else RunLog()
@@ -208,6 +219,8 @@ def run_training(state, train_pairs, valid_pairs=None, log=None, on_record=None)
                     "l_rtd": float(np.mean([r.l_rtd for r in interval])),
                     "l_dtp": float(np.mean([r.l_dtp for r in interval])),
                     "joint": float(np.mean([r.joint for r in interval])),
+                    "grad_norm": float(np.mean([r.grad_norm for r in interval])),
+                    "lr": state.learning_rate(state.step),
                     "valid_ppl": validate(valid_batches, state) if valid_batches else None,
                     "elapsed_s": time.monotonic() - start,
                 }

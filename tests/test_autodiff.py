@@ -71,7 +71,17 @@ class TestSoftmax:
         x = rng.uniform(-1e4, 1e4, size=(5, 9))
         s = ad.softmax(t(x), -1).data
         np.testing.assert_allclose(s.sum(axis=-1), np.ones(5), atol=1e-9)
-        assert (s > 0).all()
+        assert (s >= 0).all()
+        assert not ((s > 0) & (s < np.finfo(np.float64).tiny)).any()
+
+    def test_underflow_is_an_exact_zero(self):
+        # exp(-720) is a subnormal (about 1.3e-313); softmax must not pass it on
+        x = t([[0.0, -720.0], [0.3, -0.2]])
+        s = ad.softmax(x, -1).data
+        assert s[0, 0] == 1.0 and s[0, 1] == 0.0
+        assert not ((s > 0) & (s < np.finfo(np.float64).tiny)).any()
+        w = np.array([[0.7, -1.3], [2.0, 0.5]])
+        assert ad.grad_check(lambda z: ad.tsum(ad.mul(ad.softmax(z, -1), w)), x) < 1e-6
 
     def test_invalid_axis(self):
         with pytest.raises(ad.ShapeError):

@@ -1,8 +1,10 @@
 import csv
 import os
 
+import numpy as np
 import pytest
 
+from tokendrop import autodiff as ad
 from tokendrop.cli import main
 
 TINY = ("task.n_train=24", "task.n_valid=4", "task.n_test=3", "task.source_vocab_size=10",
@@ -112,3 +114,15 @@ def test_damaged_run_exits_2(run_dir, tmp_path, capsys, name, damage, message):
         (broken / part).write_bytes(damage(data) if part == name else data)
     assert main(["evaluate", "--run", str(broken)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_non_finite_gradient_exits_2(tmp_path, monkeypatch, capsys):
+    real_backward = ad.backward
+
+    def backward(loss, params=None):
+        real_backward(loss, params)
+        params[0].grad.flat[0] = np.nan
+
+    monkeypatch.setattr(ad, "backward", backward)
+    assert main(["train", "--out", str(tmp_path / "run"), *sets(TINY)]) == 2
+    assert "error: global gradient norm is non-finite: nan" in capsys.readouterr().err

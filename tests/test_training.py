@@ -5,12 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from tokendrop import autodiff as ad
+from tokendrop import training
+from tokendrop.config import load_config
 from tokendrop.data import SyntheticTaskSpec, encode_pairs, generate_synthetic_corpus, make_batches
 from tokendrop.dropping import DropConfig
 from tokendrop.model import ModelConfig, unique_parameters
 from tokendrop.objectives import ObjectiveConfig
-from tokendrop.training import (CheckpointError, RunLog, TrainConfig, TrainState,
-                                checkpoint, clip_gradients, restore, run_training,
+from tokendrop.pipeline import build_state, prepare_data
+from tokendrop.training import (CheckpointError, NonFiniteGradientError, RunLog, TrainConfig,
+                                TrainState, checkpoint, clip_gradients, restore, run_training,
                                 train_step, validate)
 from tokendrop.vocab import PAD_ID, Vocabulary
 
@@ -156,6 +160,26 @@ class TestTrainStep:
         assert 0 <= report.dropped_tokens <= report.droppable_tokens
 
 
+class TestNonFiniteGradient:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_raises_before_anything_changes(self, monkeypatch, bad):
+        state, train, _ = small_setup()
+        batch = make_batches(train, 16, np.random.default_rng(0))[0]
+        real_backward = ad.backward
+
+        def backward(loss, params=None):
+            real_backward(loss, params)
+            params[3].grad.flat[0] = bad
+
+        monkeypatch.setattr(ad, "backward", backward)
+        before = copy.deepcopy(state)
+        with pytest.raises(NonFiniteGradientError, match="non-finite"):
+            train_step(batch, state)
+        assert states_equal(state, before)
+        # nothing left behind for the next step's backward to accumulate onto
+        assert all(t.grad is None for _, t in unique_parameters(state.params))
+
+
 class TestValidate:
     def test_untrained_perplexity_near_vocab_size(self):
         state, _, valid = small_setup()
@@ -212,6 +236,20 @@ class TestCopyTaskLearning:
         assert math.log(log.records[-1]["valid_ppl"]) < 1.0
 
 
+class TestDefaultConfigLearns:
+    def test_validation_nll_falls_within_30_steps(self):
+        # Default model, drop, objectives and training, on a smaller corpus.
+        cfg = load_config(None, ["task.n_train=2000", "task.n_valid=200", "train.max_steps=30"])
+        bundle = prepare_data(cfg)
+        state = build_state(cfg, bundle)
+        valid = make_batches(bundle.valid, cfg.train.batch_size, np.random.default_rng(0))
+        before = math.log(validate(valid, state))
+        after = math.log(run_training(state, bundle.train, bundle.valid).records[-1]["valid_ppl"])
+        # Over train.seed 0-4 the clean NLL fell by 0.30-0.47 nats (seed 0:
+        # 5.63 -> 5.23); the margin is half the smallest fall.
+        assert after < before - 0.15
+
+
 class TestRunLog:
     def test_rejects_non_increasing_steps(self):
         log = RunLog()
@@ -233,9 +271,25 @@ class TestRunLog:
         log = run_training(state, train, valid)
         assert [r["step"] for r in log.records] == [3, 6]
         for rec in log.records:
-            assert set(rec) == {"step", "l_m", "l_rtd", "l_dtp", "joint",
+            assert set(rec) == {"step", "l_m", "l_rtd", "l_dtp", "joint", "grad_norm", "lr",
                                 "valid_ppl", "elapsed_s"}
             assert rec["valid_ppl"] > 0
+
+    def test_records_carry_mean_grad_norm_and_step_lr(self, monkeypatch):
+        norms = []
+        real_clip = training.clip_gradients
+
+        def clip_gradients(grads, max_norm):
+            norms.append(real_clip(grads, max_norm))
+            return norms[-1]
+
+        monkeypatch.setattr(training, "clip_gradients", clip_gradients)
+        state, train, valid = small_setup(max_steps=6, validate_every=4)
+        log = run_training(state, train, valid)
+        assert [r["step"] for r in log.records] == [4, 6]
+        for rec, interval in zip(log.records, (norms[:4], norms[4:])):
+            assert rec["grad_norm"] == float(np.mean(interval)) and rec["grad_norm"] > 0
+            assert rec["lr"] == state.learning_rate(rec["step"])
 
 
 class TestDeterminism:

@@ -11,7 +11,7 @@ from .evaluation import noise_eval
 from .objectives import NonFiniteLossError
 from .pipeline import (CHECKPOINT_NAME, CONFIG_SNAPSHOT_NAME, VOCAB_SRC_NAME, VOCAB_TGT_NAME,
                        drop_rate_sweep, evaluate_clean, train_run, write_csv)
-from .data import encode_pairs, load_parallel
+from .data import intern_corpus, load_parallel
 from .training import CheckpointError, NonFiniteGradientError, restore
 from .vocab import Vocabulary
 
@@ -59,7 +59,8 @@ def _load_run(args):
     if cfg.data.synthetic:  # train_run wrote the generated test split into the run
         test_src, test_tgt = (os.path.join(args.run, "data", "test." + e) for e in ("src", "tgt"))
     src, tgt = args.src or test_src, args.tgt or test_tgt
-    return cfg, state, tgt_vocab, encode_pairs(load_parallel(src, tgt), src_vocab, tgt_vocab)
+    test = intern_corpus({"test": load_parallel(src, tgt)}).encode(src_vocab, tgt_vocab)["test"]
+    return cfg, state, tgt_vocab, test
 
 
 def cmd_train(args):

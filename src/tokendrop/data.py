@@ -1,4 +1,17 @@
-"""Synthetic parallel corpora, file ingestion, and deterministic batching."""
+"""Synthetic parallel corpora, file ingestion, and deterministic batching.
+
+A corpus is held as integer token codes (`CodedCorpus`, `Sentences`) and
+encoded to vocabulary ids through one lookup table per side. Token strings
+are made only where a corpus is written to disk (`CodedCorpus.token_pairs`).
+
+Draw order of the synthetic corpus: `generate_synthetic_corpus` makes one
+length draw and then one token draw per sentence, from one generator seeded
+with `SyntheticTaskSpec.seed`, for all of train, then valid, then test. The
+corpus is defined by that order. Changing it, or the number or kind of draws,
+changes every later sentence, and with them every pinned bundle digest in
+tests/test_pipeline.py and the trained fixture of the `robustness` benchmark
+workload.
+"""
 
 from __future__ import annotations
 
@@ -28,6 +41,10 @@ class SyntheticTaskSpec:
     identity_mapping: bool = False
 
     def __post_init__(self):
+        for name, least in (("n_train", 1), ("n_valid", 0), ("n_test", 0),
+                            ("source_vocab_size", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.target_vocab_size < self.source_vocab_size:
             raise ValueError("target vocabulary must be at least as large as the source "
                              "for the token mapping to be injective")
@@ -37,84 +54,128 @@ class SyntheticTaskSpec:
             raise ValueError("invalid sentence length range")
 
 
-def _source_tokens(spec):
-    return [f"a{i}" for i in range(spec.source_vocab_size)]
-
-
-def _target_tokens(spec):
-    if spec.identity_mapping:
-        return _source_tokens(spec)
-    return [f"b{i}" for i in range(spec.target_vocab_size)]
+def _names(prefix, count):
+    return [f"{prefix}{i}" for i in range(count)]
 
 
 def token_mapping(spec):
-    """The injective source-token -> target-token map."""
-    src = _source_tokens(spec)
-    tgt = _target_tokens(spec)
+    """The injective source-code -> target-code map, as an array indexed by
+    source code."""
     if spec.identity_mapping:
-        return dict(zip(src, src))
-    rng = np.random.default_rng(spec.mapping_seed)
-    perm = rng.permutation(len(tgt))
-    return {s: tgt[perm[i]] for i, s in enumerate(src)}
+        return np.arange(spec.source_vocab_size)
+    perm = np.random.default_rng(spec.mapping_seed).permutation(spec.target_vocab_size)
+    return perm[: spec.source_vocab_size]
 
 
-def _window_rotate(tokens, window, offsets, inverse=False):
-    out = list(tokens)
-    for start in range(0, len(tokens), window):
-        chunk = out[start:start + window]
-        w = len(chunk)
-        k = offsets[start // window] % w
-        if inverse:
-            k = (w - k) % w
-        out[start:start + window] = chunk[k:] + chunk[:k]
-    return out
+@dataclass
+class Sentences:
+    """Sentences as one flat array of integer token codes: sentence i is
+    `codes[bounds[i]:bounds[i + 1]]`."""
+
+    codes: np.ndarray
+    bounds: np.ndarray
+
+    @classmethod
+    def join(cls, parts):
+        """Sentences from a list of per-sentence code sequences (may be empty)."""
+        lengths = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
+        codes = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+        return cls(codes.astype(np.int64, copy=False), np.concatenate(([0], np.cumsum(lengths))))
+
+    def lists(self, table):
+        """Each sentence as a Python list holding `table[code]` for its codes."""
+        flat = table[self.codes].tolist()
+        bounds = self.bounds.tolist()
+        return [flat[s:e] for s, e in zip(bounds, bounds[1:])]
 
 
-def _rotation_offsets(source_ids, window):
-    # Keyed by the window's id sum, which is invariant under rotation, so the
-    # reorder can be undone from the target alone. Only windows whose sum is
-    # divisible by the window size rotate; the rest pass through, which keeps
-    # the task learnable at desk scale while still requiring attention.
-    return [1 if sum(source_ids[s:s + window]) % window == 0 else 0
-            for s in range(0, len(source_ids), window)]
+@dataclass
+class CodedCorpus:
+    """A parallel corpus as token codes.
+
+    `splits[name]` is a (source, target) pair of `Sentences`; `source_names[c]`
+    and `target_names[c]` are the token strings of code c on each side.
+    """
+
+    splits: dict
+    source_names: list
+    target_names: list
+
+    def _pairs(self, split, src_table, tgt_table):
+        src, tgt = self.splits[split]
+        return list(zip(src.lists(src_table), tgt.lists(tgt_table)))
+
+    def token_pairs(self, split):
+        """(source tokens, target tokens) of every sentence pair of `split`."""
+        return self._pairs(split, np.array(self.source_names, dtype=object),
+                           np.array(self.target_names, dtype=object))
+
+    def encode(self, src_vocab, tgt_vocab):
+        """{split: [(source ids, target ids), ...]}. Each code's token is looked
+        up once; tokens outside a vocabulary become UNK_ID."""
+        src_table = np.array(src_vocab.encode(self.source_names), dtype=np.int64)
+        tgt_table = np.array(tgt_vocab.encode(self.target_names), dtype=np.int64)
+        return {name: self._pairs(name, src_table, tgt_table) for name in self.splits}
 
 
-def map_source_to_target(src_tokens, spec, mapping=None):
-    mapping = mapping if mapping is not None else token_mapping(spec)
-    mapped = [mapping[t] for t in src_tokens]
-    ids = [int(t[1:]) for t in src_tokens]
-    return _window_rotate(mapped, spec.reorder_window, _rotation_offsets(ids, spec.reorder_window))
+def _reorder_index(src, window):
+    """Gather index that reorders every sentence of `src` inside windows of
+    `window` tokens counted from the sentence start (the last may be shorter).
 
-
-def invert_target_to_source(tgt_tokens, spec, mapping=None):
-    """Undo the relabeling and reordering; exact inverse of map_source_to_target."""
-    mapping = mapping if mapping is not None else token_mapping(spec)
-    inverse_map = {v: k for k, v in mapping.items()}
-    rotated_src = [inverse_map[t] for t in tgt_tokens]
-    ids = [int(t[1:]) for t in rotated_src]
-    offsets = _rotation_offsets(ids, spec.reorder_window)
-    return _window_rotate(rotated_src, spec.reorder_window, offsets, inverse=True)
+    A window rotates left by one when its code sum is divisible by `window`;
+    the rest pass through. The sum is invariant under rotation, so the reorder
+    can be undone from the target alone, and rotating only some windows keeps
+    the task learnable at desk scale while still requiring attention.
+    """
+    n = len(src.codes)
+    lengths = np.diff(src.bounds)
+    pos = np.arange(n) - np.repeat(src.bounds[:-1], lengths)  # position in its sentence
+    starts = np.flatnonzero(pos % window == 0)
+    sizes = np.diff(starts, append=n)
+    shift = np.add.reduceat(src.codes, starts) % window == 0
+    offset = (pos % window + np.repeat(shift, sizes)) % np.repeat(sizes, sizes)
+    return np.repeat(starts, sizes) + offset
 
 
 def generate_synthetic_corpus(spec):
-    """Generate {train, valid, test} lists of (source, target) token pairs.
+    """Generate the train, valid and test splits of the task as a CodedCorpus.
 
-    Source sentences are uniform over the content tokens with lengths drawn
-    from the configured range; the same spec and seed always regenerate the
-    identical corpus.
+    Source sentences are uniform over the source codes with lengths drawn
+    from the configured range. Each sentence takes one length draw and then
+    one token draw from a generator seeded with `spec.seed`, train first,
+    then valid, then test; the same spec always regenerates the identical
+    corpus. Changing that order or the number of draws changes every later
+    sentence (see the module docstring).
     """
     rng = np.random.default_rng(spec.seed)
-    src_tokens = _source_tokens(spec)
     mapping = token_mapping(spec)
     splits = {}
     for name, count in (("train", spec.n_train), ("valid", spec.n_valid), ("test", spec.n_test)):
-        pairs = []
+        parts = []
         for _ in range(count):
-            n = int(rng.integers(spec.len_min, spec.len_max + 1))
-            src = [src_tokens[int(i)] for i in rng.integers(0, spec.source_vocab_size, size=n)]
-            pairs.append((src, map_source_to_target(src, spec, mapping)))
-        splits[name] = pairs
-    return splits
+            length = rng.integers(spec.len_min, spec.len_max + 1)
+            parts.append(rng.integers(0, spec.source_vocab_size, size=length))
+        src = Sentences.join(parts)
+        tgt = Sentences(mapping[src.codes[_reorder_index(src, spec.reorder_window)]], src.bounds)
+        splits[name] = (src, tgt)
+    source_names = _names("a", spec.source_vocab_size)
+    target_names = source_names if spec.identity_mapping else _names("b", spec.target_vocab_size)
+    return CodedCorpus(splits, source_names, target_names)
+
+
+def intern_corpus(splits):
+    """Code token-list pairs, given as {split: [(source tokens, target tokens)]}.
+
+    Each side numbers its distinct tokens in order of first appearance.
+    """
+    tables = ({}, {})  # token -> code, per side
+    coded = {}
+    for name, pairs in splits.items():
+        coded[name] = tuple(
+            Sentences.join([[table.setdefault(tok, len(table)) for tok in pair[side]]
+                            for pair in pairs])
+            for side, table in enumerate(tables))
+    return CodedCorpus(coded, list(tables[0]), list(tables[1]))
 
 
 def write_parallel(pairs, directory, name):
@@ -129,12 +190,21 @@ def write_parallel(pairs, directory, name):
     return src_path, tgt_path
 
 
+def _read_lines(path):
+    # Lines end at "\n" alone, as write_parallel writes them: str.splitlines
+    # would also split inside a line at U+2028, form feed or other separators
+    # and misalign the two sides. A "\r" before the "\n" is whitespace to
+    # tokenize, and a missing final newline is accepted.
+    with open(path, encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    lines = text.split("\n")
+    return lines[:-1] if lines[-1] == "" else lines
+
+
 def load_parallel(src_path, tgt_path):
     """Read paired files; line i of each file forms one pair."""
-    with open(src_path, encoding="utf-8") as fh:
-        src_lines = fh.read().splitlines()
-    with open(tgt_path, encoding="utf-8") as fh:
-        tgt_lines = fh.read().splitlines()
+    src_lines = _read_lines(src_path)
+    tgt_lines = _read_lines(tgt_path)
     if len(src_lines) != len(tgt_lines):
         raise ValueError(f"line count mismatch: {src_path} has {len(src_lines)} lines, "
                          f"{tgt_path} has {len(tgt_lines)}")
@@ -145,10 +215,6 @@ def load_parallel(src_path, tgt_path):
             raise ValueError(f"empty line {i} in parallel corpus")
         pairs.append((src, tgt))
     return pairs
-
-
-def encode_pairs(pairs, src_vocab, tgt_vocab):
-    return [(src_vocab.encode(s), tgt_vocab.encode(t)) for s, t in pairs]
 
 
 class ParallelBatch:

@@ -8,9 +8,9 @@ import csv
 import os
 from dataclasses import dataclass
 
-from . import data as data_mod
 from .config import dump_config
-from .data import encode_pairs, generate_synthetic_corpus, load_parallel
+from .data import (CodedCorpus, generate_synthetic_corpus, intern_corpus, load_parallel,
+                   write_parallel)
 from .evaluation import corpus_bleu, greedy_decode_batch
 from .training import TrainState, checkpoint, run_training
 from .vocab import Vocabulary, build_vocabulary
@@ -29,33 +29,35 @@ class DataBundle:
     train: list  # encoded (source ids, target ids) pairs
     valid: list
     test: list
-    raw: dict  # token-level splits, for writing corpus files
+    corpus: CodedCorpus  # every split as token codes, for writing corpus files
 
 
 def prepare_data(cfg):
     """Generate or load the corpus and build (or load) the vocabularies."""
     d = cfg.data
     if d.synthetic:
-        splits = generate_synthetic_corpus(d.task)
+        corpus = generate_synthetic_corpus(d.task)
     else:
-        splits = {
+        corpus = intern_corpus({
             "train": load_parallel(d.train_src, d.train_tgt),
             "valid": load_parallel(d.valid_src, d.valid_tgt),
             "test": load_parallel(d.test_src, d.test_tgt),
-        }
+        })
     if d.vocab_src and d.vocab_tgt:
         src_vocab = Vocabulary.load(d.vocab_src)
         tgt_vocab = Vocabulary.load(d.vocab_tgt)
     else:
-        src_vocab = build_vocabulary((s for s, _ in splits["train"]), d.max_vocab)
-        tgt_vocab = build_vocabulary((t for _, t in splits["train"]), d.max_vocab)
+        src, tgt = corpus.splits["train"]
+        src_vocab = build_vocabulary(src.codes, corpus.source_names, d.max_vocab)
+        tgt_vocab = build_vocabulary(tgt.codes, corpus.target_names, d.max_vocab)
+    encoded = corpus.encode(src_vocab, tgt_vocab)
     return DataBundle(
         src_vocab=src_vocab,
         tgt_vocab=tgt_vocab,
-        train=encode_pairs(splits["train"], src_vocab, tgt_vocab),
-        valid=encode_pairs(splits["valid"], src_vocab, tgt_vocab),
-        test=encode_pairs(splits["test"], src_vocab, tgt_vocab),
-        raw=splits,
+        train=encoded["train"],
+        valid=encoded["valid"],
+        test=encoded["test"],
+        corpus=corpus,
     )
 
 
@@ -79,8 +81,8 @@ def train_run(cfg, out_dir, on_record=None):
     bundle.src_vocab.save(os.path.join(out_dir, VOCAB_SRC_NAME))
     bundle.tgt_vocab.save(os.path.join(out_dir, VOCAB_TGT_NAME))
     if cfg.data.synthetic:
-        for split, pairs in bundle.raw.items():
-            data_mod.write_parallel(pairs, os.path.join(out_dir, "data"), split)
+        for split in bundle.corpus.splits:
+            write_parallel(bundle.corpus.token_pairs(split), os.path.join(out_dir, "data"), split)
 
     state = build_state(cfg, bundle)
     log = run_training(state, bundle.train, bundle.valid, on_record=on_record)

@@ -198,6 +198,8 @@ def run_training(state, train_pairs, valid_pairs=None, log=None, on_record=None)
     measured at the record's step on clean input (see `validate`), or is None
     without `valid_pairs`.
     """
+    if not train_pairs:
+        raise ValueError("cannot train: the training split is empty")
     tc = state.train_cfg
     log = log if log is not None else RunLog()
     valid_batches = None

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import Counter
+import numpy as np
 
 PAD_ID = 0
 BOS_ID = 1
@@ -54,25 +54,20 @@ class Vocabulary:
         return cls(tokens[NUM_SPECIALS:])
 
 
-def build_vocabulary(corpus, max_size):
+def build_vocabulary(codes, names, max_size):
     """Keep the most frequent tokens, ties broken by first occurrence.
 
-    `corpus` is an iterable of token lists. The five specials are always
+    `codes` is a flat integer array holding one side of a corpus as token
+    codes, and `names[c]` is the token of code c. The five specials are always
     present and count against `max_size`.
     """
     if max_size <= NUM_SPECIALS:
         raise ValueError(f"max_size must exceed {NUM_SPECIALS}, got {max_size}")
-    counts = Counter()
-    first_seen = {}
-    n_tokens = 0
-    for sent in corpus:
-        for tok in sent:
-            counts[tok] += 1
-            if tok not in first_seen:
-                first_seen[tok] = n_tokens
-            n_tokens += 1
-    if not counts:
+    counts = np.bincount(codes, minlength=len(names))
+    first = np.full(len(names), len(codes))
+    np.minimum.at(first, codes, np.arange(len(codes)))
+    present = np.flatnonzero(counts)
+    if not present.size:
         raise ValueError("cannot build a vocabulary from an empty corpus")
-    ranked = sorted(counts, key=lambda t: (-counts[t], first_seen[t]))
-    keep = ranked[: max_size - NUM_SPECIALS]
-    return Vocabulary(keep)
+    ranked = present[np.lexsort((first[present], -counts[present]))]
+    return Vocabulary([names[c] for c in ranked[: max_size - NUM_SPECIALS].tolist()])

@@ -6,6 +6,7 @@ import pytest
 
 from tokendrop import autodiff as ad
 from tokendrop.cli import main
+from tokendrop.vocab import Vocabulary
 
 TINY = ("task.n_train=24", "task.n_valid=4", "task.n_test=3", "task.source_vocab_size=10",
         "task.target_vocab_size=10", "task.len_max=6", "model.d_model=8", "model.d_ffn=16",
@@ -75,6 +76,24 @@ def test_evaluate_reads_the_test_files_of_a_parallel_corpus_run(tmp_path):
     hyps = tmp_path / "hyps.txt"
     assert main(["evaluate", "--run", out, "--hypotheses", str(hyps)]) == 0
     assert len(hyps.read_text().splitlines()) == 2
+
+
+def test_train_on_an_empty_training_split_exits_2(tmp_path, capsys):
+    # Saved vocabularies skip building one from the (empty) training split,
+    # so the empty split reaches training itself.
+    files = []
+    for split, line in (("train", ""), ("valid", "a b\n"), ("test", "b a\n")):
+        for side in ("src", "tgt"):
+            path = tmp_path / f"{split}.{side}"
+            path.write_text(line, encoding="utf-8")
+            files.append(f"data.{split}_{side}={path}")
+    for side in ("src", "tgt"):
+        path = tmp_path / f"vocab.{side}"
+        Vocabulary(["a", "b"]).save(path)
+        files.append(f"data.vocab_{side}={path}")
+    out = str(tmp_path / "run")
+    assert main(["train", "--out", out, *sets([*TINY, "data.synthetic=false", *files])]) == 2
+    assert "error: cannot train: the training split is empty" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["robustness", "--samples", "0"],

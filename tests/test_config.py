@@ -130,6 +130,19 @@ class TestFile:
             load_config(tmp_path / "absent.ini")
 
 
+class TestTaskValues:
+    @pytest.mark.parametrize("override, name", [
+        ("task.n_train=-3", "n_train"),
+        ("task.n_train=0", "n_train"),
+        ("task.n_valid=-1", "n_valid"),
+        ("task.n_test=-1", "n_test"),
+        ("task.source_vocab_size=0", "source_vocab_size"),
+    ])
+    def test_bad_count_rejected_by_name(self, override, name):
+        with pytest.raises(ValueError, match=f"^{name} must be >= "):
+            load_config(None, [override])
+
+
 class TestEvalValues:
     @pytest.mark.parametrize("override, message", [
         ("eval.noise_samples=0", "samples"),

@@ -1,12 +1,14 @@
-"""Every name a module imports is used in it (no linter is installed)."""
+"""Every name a module or test file imports is used in it (no linter is
+installed)."""
 
 import ast
 import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "tokendrop"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+MODULES = sorted(p for p in (ROOT / "src" / "tokendrop").glob("*.py") if p.name != "__init__.py")
+TEST_FILES = sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source):
@@ -29,4 +31,9 @@ def test_finds_an_unused_import():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", TEST_FILES, ids=lambda p: p.name)
+def test_test_file_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

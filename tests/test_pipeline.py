@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 
 import pytest
@@ -38,7 +40,7 @@ def test_prepare_data_reads_parallel_files_and_saved_vocabularies(tmp_path):
     bundle = pipeline.prepare_data(load_config(None, parallel_files(tmp_path, True)))
     assert bundle.src_vocab.id_to_token[5:] == ["c", "a", "d"]
     assert bundle.tgt_vocab.id_to_token[5:] == ["w", "x", "y", "z"]
-    assert bundle.raw["test"] == [(["c", "b"], ["z", "y"]), (["a", "d"], ["x", "w"])]
+    assert bundle.corpus.token_pairs("test") == [(["c", "b"], ["z", "y"]), (["a", "d"], ["x", "w"])]
     src, tgt = bundle.src_vocab, bundle.tgt_vocab
     # "b" is in the data but not in the saved source vocabulary
     assert bundle.train[0] == ([src.token_to_id["a"], UNK_ID, src.token_to_id["c"]],
@@ -52,6 +54,52 @@ def test_prepare_data_builds_vocabularies_from_the_training_split(tmp_path):
     # most frequent first, ties by first occurrence; test-only tokens are unknown
     assert bundle.src_vocab.id_to_token[5:] == ["c", "a", "b"]
     assert bundle.test[1][0] == [bundle.src_vocab.token_to_id["a"], UNK_ID]
+
+
+# sha256 (first 16 hex digits) of the JSON of src_vocab.id_to_token,
+# tgt_vocab.id_to_token, train, valid and test. A change to the generator's
+# draw order (see the tokendrop.data docstring), the mapping, the reordering,
+# the vocabulary ranking or the encoding changes them.
+BUNDLE_DIGESTS = {
+    (): ("fbdb391e7dd25694", "de917df0fc408f9b", "6cb4ca52e6e12f91", "01a3e2c25e568808",
+         "08b2a73f5fd52b94"),
+    ("task.len_min=24", "task.len_max=48"): (
+        "a886cacd50e73a9e", "919f3eacd41aa830", "d023827da4a88f7c", "36538815514d6420",
+        "a631de3d5fe42f51"),
+    ("task.identity_mapping=true", "task.reorder_window=1"): (
+        "fbdb391e7dd25694", "fbdb391e7dd25694", "60c2681575d5824f", "658fce454ed115a7",
+        "42333ef4b185190d"),
+    ("task.reorder_window=4", "task.len_min=1", "task.len_max=9"): (
+        "6b684081cbfaa924", "5454f6c2497640f4", "66ef666a37c9b745", "49ba1403376d6e81",
+        "338304adf3b3c1a6"),
+    ("data.max_vocab=100",): (  # 95 of 200 source tokens kept, so <unk> ids occur
+        "3d18d4bc3ae692c7", "05d810b00ba74f1f", "4169398ab46e382d", "301c27a92c7cba1c",
+        "830f0a478a3e9d8e"),
+}
+
+
+def digest(obj):
+    return hashlib.sha256(json.dumps(obj).encode("utf-8")).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("overrides", BUNDLE_DIGESTS, ids=lambda ov: " ".join(ov) or "default")
+def test_synthetic_bundle_is_pinned(overrides):
+    bundle = pipeline.prepare_data(load_config(None, overrides))
+    parts = (bundle.src_vocab.id_to_token, bundle.tgt_vocab.id_to_token,
+             bundle.train, bundle.valid, bundle.test)
+    assert tuple(digest(p) for p in parts) == BUNDLE_DIGESTS[overrides]
+    if overrides == ("data.max_vocab=100",):
+        assert any(UNK_ID in src for src, _ in bundle.train)
+
+
+def test_empty_valid_and_test_splits_still_prepare_and_train(tmp_path):
+    out = tmp_path / "run"
+    _, bundle, log = pipeline.train_run(
+        load_config(None, [*TINY, "task.n_valid=0", "task.n_test=0"]), str(out))
+    assert (len(bundle.train), bundle.valid, bundle.test) == (24, [], [])
+    assert log.records[-1]["valid_ppl"] is None
+    assert (out / "data" / "valid.src").read_text() == (out / "data" / "test.tgt").read_text() == ""
+    assert len((out / "data" / "train.src").read_text().splitlines()) == 24
 
 
 def test_build_state_sets_vocab_sizes_without_mutating_the_config(tmp_path):

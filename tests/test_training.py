@@ -8,7 +8,7 @@ import pytest
 from tokendrop import autodiff as ad
 from tokendrop import training
 from tokendrop.config import load_config
-from tokendrop.data import SyntheticTaskSpec, encode_pairs, generate_synthetic_corpus, make_batches
+from tokendrop.data import SyntheticTaskSpec, generate_synthetic_corpus, make_batches
 from tokendrop.dropping import DropConfig
 from tokendrop.model import ModelConfig, unique_parameters
 from tokendrop.objectives import ObjectiveConfig
@@ -30,10 +30,10 @@ def small_setup(seed=0, drop=None, objective=None, **train_kw):
                              n_train=200, n_valid=40, n_test=40,
                              reorder_window=2, len_min=3, len_max=8, seed=seed)
     corpus = generate_synthetic_corpus(task)
-    src_vocab = Vocabulary([f"a{i}" for i in range(task.source_vocab_size)])
-    tgt_vocab = Vocabulary([f"b{i}" for i in range(task.target_vocab_size)])
-    train = encode_pairs(corpus["train"], src_vocab, tgt_vocab)
-    valid = encode_pairs(corpus["valid"], src_vocab, tgt_vocab)
+    src_vocab = Vocabulary(corpus.source_names)
+    tgt_vocab = Vocabulary(corpus.target_names)
+    encoded = corpus.encode(src_vocab, tgt_vocab)
+    train, valid = encoded["train"], encoded["valid"]
     mc = ModelConfig(d_model=16, d_ffn=32, n_layers=1, n_heads=2,
                      src_vocab_size=len(src_vocab), tgt_vocab_size=len(tgt_vocab))
     tc = TrainConfig(max_steps=train_kw.pop("max_steps", 10), batch_size=16,
@@ -216,9 +216,9 @@ class TestCopyTaskLearning:
                                  reorder_window=1, len_min=3, len_max=8,
                                  identity_mapping=True, seed=0)
         corpus = generate_synthetic_corpus(task)
-        vocab = Vocabulary([f"a{i}" for i in range(30)])
-        train = encode_pairs(corpus["train"], vocab, vocab)
-        valid = encode_pairs(corpus["valid"], vocab, vocab)
+        vocab = Vocabulary(corpus.source_names)
+        encoded = corpus.encode(vocab, vocab)
+        train, valid = encoded["train"], encoded["valid"]
         mc = ModelConfig(d_model=32, d_ffn=64, n_layers=1, n_heads=2, p_dropout=0.0,
                          src_vocab_size=len(vocab), tgt_vocab_size=len(vocab))
         # lr_factor 0.5 (as in bench/fixture.py) peaks at 0.0125. At 2.0 the peak is
@@ -290,6 +290,14 @@ class TestRunLog:
         for rec, interval in zip(log.records, (norms[:4], norms[4:])):
             assert rec["grad_norm"] == float(np.mean(interval)) and rec["grad_norm"] > 0
             assert rec["lr"] == state.learning_rate(rec["step"])
+
+    def test_empty_training_split_is_rejected_before_any_step(self):
+        state, _, valid = small_setup()
+        before = snapshot(state)
+        with pytest.raises(ValueError, match="training split is empty"):
+            run_training(state, [], valid)
+        after = snapshot(state)
+        assert state.step == 0 and all(np.array_equal(before[n], after[n]) for n in before)
 
 
 class TestDeterminism:

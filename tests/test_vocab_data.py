@@ -38,26 +38,65 @@ class TestVocabulary:
 
 class TestBuildVocabulary:
     def test_all_tokens_fit(self):
-        v = vb.build_vocabulary([["a", "a", "b"]], max_size=7)
+        v = vb.build_vocabulary(np.array([0, 0, 1]), ["a", "b"], max_size=7)
         assert len(v) == 7
         assert "a" in v and "b" in v
 
     def test_frequency_cutoff(self):
-        v = vb.build_vocabulary([["a", "a", "b"]], max_size=6)
+        v = vb.build_vocabulary(np.array([0, 0, 1]), ["a", "b"], max_size=6)
         assert "a" in v and "b" not in v
         assert v.encode(["b"]) == [vb.UNK_ID]
 
     def test_tie_broken_by_first_occurrence(self):
-        v = vb.build_vocabulary([["a", "b", "a", "b"]], max_size=6)
-        assert "a" in v and "b" not in v
+        # "b" has the higher code but occurs first
+        v = vb.build_vocabulary(np.array([1, 0, 1, 0]), ["a", "b"], max_size=6)
+        assert "b" in v and "a" not in v
+
+    def test_codes_that_never_occur_are_left_out(self):
+        v = vb.build_vocabulary(np.array([2, 0, 2]), ["a", "b", "c"], max_size=10)
+        assert v.id_to_token[vb.NUM_SPECIALS:] == ["c", "a"]
 
     def test_empty_corpus_rejected(self):
-        with pytest.raises(ValueError):
-            vb.build_vocabulary([], max_size=10)
+        for names in ([], ["a"]):
+            with pytest.raises(ValueError, match="empty corpus"):
+                vb.build_vocabulary(np.zeros(0, dtype=np.int64), names, max_size=10)
 
     def test_max_size_must_exceed_specials(self):
         with pytest.raises(ValueError):
-            vb.build_vocabulary([["a"]], max_size=5)
+            vb.build_vocabulary(np.array([0]), ["a"], max_size=5)
+
+
+def reference_target(src, spec):
+    """The task spelled out one sentence at a time: map each code, then rotate
+    left by one every window whose source code sum is divisible by the window."""
+    mapped = [int(dt.token_mapping(spec)[c]) for c in src]
+    w = spec.reorder_window
+    out = []
+    for start in range(0, len(src), w):
+        chunk = mapped[start:start + w]
+        k = 1 if sum(src[start:start + w]) % w == 0 else 0
+        out += chunk[k:] + chunk[:k]
+    return out
+
+
+def reference_source(tgt, spec):
+    """Undo `reference_target` from the target alone: unmap, then rotate right
+    the windows whose (rotation-invariant) code sum is divisible by the window."""
+    inverse = {int(t): s for s, t in enumerate(dt.token_mapping(spec))}
+    rotated = [inverse[c] for c in tgt]
+    w = spec.reorder_window
+    out = []
+    for start in range(0, len(rotated), w):
+        chunk = rotated[start:start + w]
+        k = len(chunk) - 1 if sum(chunk) % w == 0 else 0
+        out += chunk[k:] + chunk[:k]
+    return out
+
+
+def sentence_lists(corpus, split):
+    src, tgt = corpus.splits[split]
+    return (src.lists(np.arange(len(corpus.source_names))),
+            tgt.lists(np.arange(len(corpus.target_names))))
 
 
 class TestSyntheticCorpus:
@@ -70,34 +109,83 @@ class TestSyntheticCorpus:
     def test_window_one_is_pure_relabeling(self):
         spec = self.spec(reorder_window=1)
         mapping = dt.token_mapping(spec)
-        src = ["a3", "a1", "a4"]
-        assert dt.map_source_to_target(src, spec) == [mapping[t] for t in src]
+        for src, tgt in dt.generate_synthetic_corpus(spec).splits.values():
+            np.testing.assert_array_equal(tgt.codes, mapping[src.codes])
+            np.testing.assert_array_equal(tgt.bounds, src.bounds)
 
     def test_identity_mapping_window_one_is_copy_task(self):
         spec = self.spec(identity_mapping=True, reorder_window=1)
-        for src, tgt in dt.generate_synthetic_corpus(spec)["train"]:
+        corpus = dt.generate_synthetic_corpus(spec)
+        assert corpus.source_names == corpus.target_names
+        for src, tgt in corpus.token_pairs("train"):
             assert src == tgt
 
     def test_regeneration_is_identical(self, tmp_path):
         spec = self.spec(reorder_window=3)
         a = dt.generate_synthetic_corpus(spec)
         b = dt.generate_synthetic_corpus(spec)
-        assert a == b
-        pa = dt.write_parallel(a["train"], tmp_path / "one", "train")
-        pb = dt.write_parallel(b["train"], tmp_path / "two", "train")
+        assert (a.source_names, a.target_names) == (b.source_names, b.target_names)
+        for split in ("train", "valid", "test"):
+            for x, y in zip(a.splits[split], b.splits[split]):
+                np.testing.assert_array_equal(x.codes, y.codes)
+                np.testing.assert_array_equal(x.bounds, y.bounds)
+        pa = dt.write_parallel(a.token_pairs("train"), tmp_path / "one", "train")
+        pb = dt.write_parallel(b.token_pairs("train"), tmp_path / "two", "train")
         assert open(pa[0]).read() == open(pb[0]).read()
         assert open(pa[1]).read() == open(pb[1]).read()
 
     def test_mapping_is_injective(self):
-        mapping = dt.token_mapping(self.spec())
-        assert len(set(mapping.values())) == len(mapping)
+        for target_vocab_size in (20, 35):
+            mapping = dt.token_mapping(self.spec(target_vocab_size=target_vocab_size)).tolist()
+            assert len(mapping) == 20 and len(set(mapping)) == len(mapping)
+            assert all(0 <= t < target_vocab_size for t in mapping)
 
     @pytest.mark.parametrize("window", [1, 2, 3, 5])
     def test_target_inverts_to_source(self, window):
         spec = self.spec(reorder_window=window)
-        for split in dt.generate_synthetic_corpus(spec).values():
-            for src, tgt in split:
-                assert dt.invert_target_to_source(tgt, spec) == src
+        corpus = dt.generate_synthetic_corpus(spec)
+        for split in corpus.splits:
+            sources, targets = sentence_lists(corpus, split)
+            for src, tgt in zip(sources, targets):
+                assert tgt == reference_target(src, spec)
+                assert reference_source(tgt, spec) == src
+
+    def test_sentence_lengths_in_range(self):
+        spec = self.spec(len_min=1, len_max=4)
+        for src, tgt in dt.generate_synthetic_corpus(spec).splits.values():
+            lengths = np.diff(src.bounds)
+            assert lengths.min() >= 1 and lengths.max() <= 4
+            assert src.codes.max() < spec.source_vocab_size
+
+    def test_empty_splits(self):
+        corpus = dt.generate_synthetic_corpus(self.spec(n_valid=0, n_test=0))
+        encoded = corpus.encode(vb.Vocabulary(corpus.source_names),
+                                vb.Vocabulary(corpus.target_names))
+        assert encoded["valid"] == encoded["test"] == [] and len(encoded["train"]) == 50
+        assert corpus.token_pairs("valid") == []
+
+
+class TestInternCorpus:
+    PAIRS = {"train": [(["a", "b", "a"], ["x"]), (["c"], ["y", "x"])],
+             "test": [(["d", "a"], ["z"])]}
+
+    def test_codes_number_tokens_in_order_of_first_appearance(self):
+        corpus = dt.intern_corpus(self.PAIRS)
+        assert (corpus.source_names, corpus.target_names) == (["a", "b", "c", "d"], ["x", "y", "z"])
+        src, tgt = corpus.splits["train"]
+        assert src.codes.tolist() == [0, 1, 0, 2] and src.bounds.tolist() == [0, 3, 4]
+        assert tgt.codes.tolist() == [0, 1, 0] and tgt.bounds.tolist() == [0, 1, 3]
+
+    def test_token_pairs_give_back_the_input(self):
+        corpus = dt.intern_corpus(self.PAIRS)
+        assert {split: corpus.token_pairs(split) for split in corpus.splits} == self.PAIRS
+
+    def test_encode_maps_unknown_tokens_to_unk(self):
+        corpus = dt.intern_corpus(self.PAIRS)
+        encoded = corpus.encode(vb.Vocabulary(["d", "a"]), vb.Vocabulary(["z", "x", "y"]))
+        assert encoded["train"] == [([6, vb.UNK_ID, 6], [6]), ([vb.UNK_ID], [7, 6])]
+        assert encoded["test"] == [([5, 6], [5])]
+        assert all(type(i) is int for s, t in encoded["train"] for i in s + t)
 
 
 class TestLoadParallel:
@@ -106,6 +194,22 @@ class TestLoadParallel:
         (tmp_path / "x.tgt").write_text("d\ne f\n")
         pairs = dt.load_parallel(tmp_path / "x.src", tmp_path / "x.tgt")
         assert pairs == [(["a", "b"], ["d"]), (["c"], ["e", "f"])]
+
+    # Every line boundary of str.splitlines other than "\n" and "\r\n".
+    @pytest.mark.parametrize("sep", ["\u2028", "\x0c", "\x1c", "\x85", "\r", "\x0b", "\x1d",
+                                     "\x1e", "\u2029"])
+    def test_only_newline_ends_a_line(self, tmp_path, sep):
+        (tmp_path / "x.src").write_text(f"x{sep}y\nz\n", encoding="utf-8", newline="")
+        (tmp_path / "x.tgt").write_text(f"x2{sep}y2\nz2\n", encoding="utf-8", newline="")
+        pairs = dt.load_parallel(tmp_path / "x.src", tmp_path / "x.tgt")
+        assert pairs == [(["x", "y"], ["x2", "y2"]), (["z"], ["z2"])]
+
+    @pytest.mark.parametrize("src_text", ["a b\r\nc\r\n", "a b\nc", "a b\r\nc"])
+    def test_crlf_and_missing_final_newline(self, tmp_path, src_text):
+        (tmp_path / "x.src").write_text(src_text, encoding="utf-8", newline="")
+        (tmp_path / "x.tgt").write_text("d\ne\n", encoding="utf-8", newline="")
+        pairs = dt.load_parallel(tmp_path / "x.src", tmp_path / "x.tgt")
+        assert pairs == [(["a", "b"], ["d"]), (["c"], ["e"])]
 
     def test_line_count_mismatch_names_counts(self, tmp_path):
         (tmp_path / "x.src").write_text("a\nb\nc\n")

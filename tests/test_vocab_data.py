@@ -152,7 +152,7 @@ class TestSyntheticCorpus:
 
     def test_sentence_lengths_in_range(self):
         spec = self.spec(len_min=1, len_max=4)
-        for src, tgt in dt.generate_synthetic_corpus(spec).splits.values():
+        for src, _ in dt.generate_synthetic_corpus(spec).splits.values():
             lengths = np.diff(src.bounds)
             assert lengths.min() >= 1 and lengths.max() <= 4
             assert src.codes.max() < spec.source_vocab_size

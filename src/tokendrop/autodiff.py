@@ -3,14 +3,39 @@
 Implements exactly the operation set the translation model needs: elementwise
 arithmetic with broadcasting, matmul (optionally batched), softmax, log,
 sigmoid, relu, reshape/transpose, reductions, embedding lookup, position
-gathering, and a fused token-level cross entropy. Operations executed while a
-GradTape is active are recorded; replaying the tape in reverse accumulates
-gradients into every tensor that influenced the loss.
+gathering, and two fused ops: the masked attention core and a token-level
+cross entropy. Operations executed while a GradTape is active are recorded;
+replaying the tape in reverse accumulates gradients into every tensor that
+influenced the loss.
 """
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
+
+
+def _keep_freed_memory():
+    """Keep freed array buffers in the process heap, where glibc is the C library.
+
+    A train step allocates every op's output afresh and frees them together
+    when its tape goes. Under glibc's adaptive thresholds the heap is then
+    trimmed, or big arrays get mappings of their own, so the next step faults
+    every page in again, or not, depending on where long-lived arrays happen
+    to lie. Fixed thresholds keep arrays below 32 MiB in the heap and never
+    trim it.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # not glibc, or no C library by that name
+        return
+    m_trim_threshold, m_mmap_threshold = -1, -3
+    mallopt(m_mmap_threshold, 32 << 20)
+    mallopt(m_trim_threshold, 1 << 30)
+
+
+_keep_freed_memory()
 
 
 class Tensor:
@@ -249,16 +274,30 @@ def tmean(a, axis=None, keepdims=False):
     return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
+_TINY = np.finfo(np.float64).tiny
+# Added to masked attention scores: exp of it underflows to 0 next to any
+# real score, yet a fully masked row stays finite, all its scores shifted alike.
+_MASK_OFFSET = -1e9
+
+
+def _softmax_(x, axis):
+    """Softmax of `x` along `axis`, written over `x` and returned.
+
+    Outputs are in [0, 1] with slices summing to 1, and an exact 0 where exp
+    underflows, never a (slow) subnormal."""
+    x -= x.max(axis=axis, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=axis, keepdims=True)
+    x[x < _TINY] = 0.0
+    return x
+
+
 def softmax(a, axis):
-    """Numerically stabilized softmax along `axis`: outputs in [0, 1], slices
-    summing to 1, and an exact 0 where exp underflows, never a (slow) subnormal."""
+    """Numerically stabilized softmax along `axis` (see `_softmax_`)."""
     a = _as_tensor(a)
     if not -a.data.ndim <= axis < a.data.ndim:
         raise ShapeError(f"softmax axis {axis} invalid for shape {a.data.shape}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
-    s[s < np.finfo(np.float64).tiny] = 0.0
+    s = _softmax_(a.data.copy(order="K"), axis)
     out = Tensor(s)
 
     def backward_fn(g):
@@ -266,6 +305,47 @@ def softmax(a, axis):
         return (s * (g - dot),)
 
     _record((a,), out, backward_fn)
+    return out
+
+
+def attention(q, k, v, key_pad, causal):
+    """softmax(q·kᵀ/√d_head + mask)·v over [batch, heads, len, d_head] stacks.
+
+    The mask adds `_MASK_OFFSET` to the scores of keys where the boolean
+    `key_pad` [batch, key_len] is set and, if `causal`, of keys after the
+    query's position (twice where both hold). One tape entry keeps only the
+    attention probabilities for the backward pass.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    key_pad = np.asarray(key_pad, dtype=bool)
+    if q.data.ndim != 4 or k.data.ndim != 4 or v.data.ndim != 4:
+        raise ShapeError(f"attention needs 4-d q, k and v, got {q.data.shape}, "
+                         f"{k.data.shape} and {v.data.shape}")
+    b, h, lq, d = q.data.shape
+    lk = k.data.shape[2]
+    if k.data.shape != (b, h, lk, d) or v.data.shape[:3] != (b, h, lk) or key_pad.shape != (b, lk):
+        raise ShapeError(f"attention shapes disagree: q {q.data.shape}, k {k.data.shape}, "
+                         f"v {v.data.shape}, key_pad {key_pad.shape}")
+    scale = 1.0 / np.sqrt(d)
+    s = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+    s *= scale
+    if causal:
+        np.add(s, _MASK_OFFSET, out=s, where=np.triu(np.ones((lq, lk), dtype=bool), k=1))
+    np.add(s, _MASK_OFFSET, out=s, where=key_pad[:, None, None, :])
+    _softmax_(s, -1)
+    out = Tensor(np.matmul(s, v.data))
+
+    def backward_fn(g):
+        gs = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        gv = np.matmul(np.swapaxes(s, -1, -2), g)
+        gs -= (gs * s).sum(axis=-1, keepdims=True)
+        gs *= s
+        gs *= scale
+        gq = np.matmul(gs, k.data)
+        gk = np.swapaxes(np.matmul(np.swapaxes(q.data, -1, -2), gs), -1, -2)
+        return (gq, gk, gv)
+
+    _record((q, k, v), out, backward_fn)
     return out
 
 

@@ -33,6 +33,11 @@ class ModelConfig:
     tie_output: bool = False
 
     def __post_init__(self):
+        for name in ("d_model", "d_ffn", "n_layers", "n_heads", "max_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 <= self.p_dropout < 1.0:
+            raise ValueError(f"p_dropout must lie in [0, 1), got {self.p_dropout}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
 
@@ -130,9 +135,6 @@ class EncodedBatch:
     pad_mask: np.ndarray  # True at pad positions
 
 
-NEG_INF = -1e9
-
-
 def _dropout(x, p, train, rng):
     if not train or p <= 0.0:
         return x
@@ -168,26 +170,14 @@ def _merge_heads(x, b, length, cfg):
     return ad.reshape(h, (b, length, cfg.d_model))
 
 
-def _attention(params, prefix, q_in, kv_in, bias, cfg):
+def _attention(params, prefix, q_in, kv_in, key_pad, causal, cfg):
     b, lq = q_in.data.shape[0], q_in.data.shape[1]
     lk = kv_in.data.shape[1]
     q = _split_heads(ad.matmul(q_in, params[f"{prefix}.wq"]), b, lq, cfg)
     k = _split_heads(ad.matmul(kv_in, params[f"{prefix}.wk"]), b, lk, cfg)
     v = _split_heads(ad.matmul(kv_in, params[f"{prefix}.wv"]), b, lk, cfg)
-    d_head = cfg.d_model // cfg.n_heads
-    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(d_head))
-    scores = ad.add(scores, bias)
-    ctx = ad.matmul(ad.softmax(scores, -1), v)
+    ctx = ad.attention(q, k, v, key_pad, causal)
     return ad.matmul(_merge_heads(ctx, b, lq, cfg), params[f"{prefix}.wo"])
-
-
-def _pad_bias(pad_mask):
-    # [batch, 1, 1, key_len]: NEG_INF at pad keys
-    return np.where(pad_mask, NEG_INF, 0.0)[:, None, None, :]
-
-
-def _causal_bias(length):
-    return np.triu(np.full((length, length), NEG_INF), k=1)[None, None, :, :]
 
 
 def _sublayer(params, prefix, x, fx, cfg, train, rng):
@@ -205,9 +195,8 @@ def encode(source, params, cfg, *, train=False, rng=None):
     """Run the encoder over a corrupted source batch."""
     pad_mask = source.original_ids == PAD_ID
     x = embed(params["src_emb"], source, cfg, train=train, rng=rng)
-    bias = _pad_bias(pad_mask)
     for i in range(cfg.n_layers):
-        attn = _attention(params, f"enc{i}.attn", x, x, bias, cfg)
+        attn = _attention(params, f"enc{i}.attn", x, x, pad_mask, False, cfg)
         x = _sublayer(params, f"enc{i}.ln1", x, attn, cfg, train, rng)
         x = _sublayer(params, f"enc{i}.ln2", x, _ffn(params, f"enc{i}.ffn", x), cfg, train, rng)
     return EncodedBatch(hidden=x, pad_mask=pad_mask)
@@ -217,12 +206,10 @@ def decode(target_input, enc, params, cfg, *, train=False, rng=None):
     """Run the decoder; returns translation logits [batch, tgt_len, V_target]."""
     tgt_pad = target_input.original_ids == PAD_ID
     x = embed(params["tgt_emb"], target_input, cfg, train=train, rng=rng)
-    self_bias = _causal_bias(tgt_pad.shape[1]) + _pad_bias(tgt_pad)
-    cross_bias = _pad_bias(enc.pad_mask)
     for i in range(cfg.n_layers):
-        attn = _attention(params, f"dec{i}.self", x, x, self_bias, cfg)
+        attn = _attention(params, f"dec{i}.self", x, x, tgt_pad, True, cfg)
         x = _sublayer(params, f"dec{i}.ln1", x, attn, cfg, train, rng)
-        cross = _attention(params, f"dec{i}.cross", x, enc.hidden, cross_bias, cfg)
+        cross = _attention(params, f"dec{i}.cross", x, enc.hidden, enc.pad_mask, False, cfg)
         x = _sublayer(params, f"dec{i}.ln2", x, cross, cfg, train, rng)
         x = _sublayer(params, f"dec{i}.ln3", x, _ffn(params, f"dec{i}.ffn", x), cfg, train, rng)
     if cfg.tie_output:

@@ -46,6 +46,15 @@ class TrainConfig:
             raise ValueError("lr_factor must be >= 0")
         if self.warmup_steps < 1 or self.batch_size < 1 or self.max_steps < 1:
             raise ValueError("steps, warmup and batch size must be positive")
+        if self.validate_every < 1:
+            raise ValueError(f"validate_every must be >= 1, got {self.validate_every}")
+        if not self.clip_norm > 0:
+            raise ValueError(f"clip_norm must be > 0, got {self.clip_norm}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not self.adam_eps > 0:
+            raise ValueError(f"adam_eps must be > 0, got {self.adam_eps}")
 
 
 def _spawn_rngs(seed, drop_seed):
@@ -289,6 +298,9 @@ def restore(path):
     try:
         state = TrainState(*(cls(**header[name]) for name, cls in _STATE_CONFIGS))
         by_name = dict(unique_parameters(state.params))
+        missing = by_name.keys() - {name for name, _ in header["param_order"]}
+        if missing:
+            raise CheckpointError(f"checkpoint {path} lacks parameters {sorted(missing)}")
         for name, shape in header["param_order"]:
             if name not in by_name:
                 raise CheckpointError(f"checkpoint parameter {name} unknown to this configuration")

@@ -1,3 +1,9 @@
+import ctypes
+import pathlib
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
@@ -86,6 +92,142 @@ class TestSoftmax:
     def test_invalid_axis(self):
         with pytest.raises(ad.ShapeError):
             ad.softmax(t([1.0, 2.0]), 3)
+
+
+def heads(rng, b, h, length, d):
+    """A [b, h, length, d] leaf laid out like the model's split heads: a
+    transposed view of a [b, length, h, d] array."""
+    return t(np.transpose(rng.normal(size=(b, length, h, d)), (0, 2, 1, 3)), grad=True)
+
+
+def attention_chain(q, k, v, key_pad, causal):
+    """The primitive chain the fused op replaced, masks as float biases."""
+    bias = np.where(key_pad, -1e9, 0.0)[:, None, None, :]
+    if causal:
+        bias = np.triu(np.full((q.shape[2], k.shape[2]), -1e9), k=1) + bias
+    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(q.shape[-1]))
+    return ad.matmul(ad.softmax(ad.add(scores, bias), -1), v)
+
+
+class TestAttention:
+    @pytest.mark.parametrize("d_head", [16, 12])
+    @pytest.mark.parametrize("causal", [True, False])
+    def test_bitwise_equal_to_the_primitive_chain(self, d_head, causal):
+        rng = np.random.default_rng(d_head)
+        lq, lk = (7, 7) if causal else (5, 7)
+        shapes = [(3, 2, lq, d_head), (3, 2, lk, d_head), (3, 2, lk, d_head)]
+        data = [heads(rng, b, h, n, d).data for b, h, n, d in shapes]
+        # row 0 pads its last two keys, row 1 none, row 2 every key (fully masked)
+        key_pad = np.zeros((3, lk), dtype=bool)
+        key_pad[0, -2:] = key_pad[2] = True
+        w = rng.normal(size=(3, 2, lq, d_head))
+        results = []
+        for op in (ad.attention, attention_chain):
+            qkv = [t(x, grad=True) for x in data]
+            with ad.GradTape():
+                out = op(*qkv, key_pad, causal)
+                ad.backward(ad.tsum(ad.mul(out, w)))
+            results.append([out.data, *(x.grad for x in qkv)])
+        for fused, chain in zip(*results):
+            assert fused.tobytes() == chain.tobytes()
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_grad_check(self, which):
+        rng = np.random.default_rng(which)
+        qkv = [heads(rng, 2, 2, 4, 3) for _ in range(3)]
+        key_pad = np.array([[False, False, False, True], [False, False, False, False]])
+        w = rng.normal(size=(2, 2, 4, 3))
+
+        def f(x):
+            args = [x if i == which else a for i, a in enumerate(qkv)]
+            return ad.tsum(ad.mul(ad.attention(*args, key_pad, True), w))
+
+        assert ad.grad_check(f, qkv[which]) < 1e-6
+
+    def test_masked_keys_get_no_weight_and_no_gradient(self):
+        rng = np.random.default_rng(4)
+        q, k, v = (heads(rng, 1, 2, 5, 4) for _ in range(3))
+        key_pad = np.array([[False, False, True, False, True]])
+        with ad.GradTape():
+            out = ad.attention(q, k, v, key_pad, False)
+            ad.backward(ad.tsum(ad.mul(out, rng.normal(size=out.shape))))
+        alone = ad.attention(q.data, k.data[:, :, [0, 1, 3]], v.data[:, :, [0, 1, 3]],
+                             np.zeros((1, 3), dtype=bool), False)
+        np.testing.assert_allclose(out.data, alone.data, rtol=1e-12)
+        assert not k.grad[:, :, [2, 4]].any() and not v.grad[:, :, [2, 4]].any()
+
+    def test_fully_masked_row_stays_finite(self):
+        rng = np.random.default_rng(5)
+        q, k, v = (heads(rng, 1, 1, 3, 4) for _ in range(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with ad.GradTape():
+                out = ad.attention(q, k, v, np.ones((1, 3), dtype=bool), False)
+                ad.backward(ad.tsum(out))
+        assert np.isfinite(out.data).all()
+        assert all(np.isfinite(x.grad).all() for x in (q, k, v))
+        # every score carries the same offset, so the row attends over all its keys
+        np.testing.assert_allclose(out.data, ad.attention(q, k, v, np.zeros((1, 3), bool),
+                                                          False).data, rtol=1e-6)
+
+    def test_score_gap_of_720_gives_an_exact_zero(self, monkeypatch):
+        # exp(-720) is a subnormal (about 1.3e-313); the op must not pass it on
+        q = t(np.ones((1, 1, 1, 1)), grad=True)
+        k = t(np.array([0.0, -720.0]).reshape(1, 1, 2, 1), grad=True)
+        v = t(np.array([2.0, 3.0]).reshape(1, 1, 2, 1), grad=True)
+        captured = []
+        real = ad._softmax_
+
+        def keeping(x, axis):
+            captured.append(real(x, axis))
+            return captured[-1]
+
+        monkeypatch.setattr(ad, "_softmax_", keeping)
+        with ad.GradTape():
+            out = ad.attention(q, k, v, np.zeros((1, 2), dtype=bool), False)
+            ad.backward(ad.tsum(out))
+        [probs] = captured
+        assert probs.ravel().tolist() == [1.0, 0.0] and out.data.item() == 2.0
+        tiny = np.finfo(np.float64).tiny
+        for a in (probs, out.data, q.grad, k.grad, v.grad):
+            assert not ((a != 0) & (np.abs(a) < tiny)).any()
+
+    @pytest.mark.parametrize("shapes, pad", [
+        (((1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 3, 4)), (1, 3)),
+        (((1, 2, 3, 4), (1, 2, 3, 4), (1, 2, 2, 4)), (1, 3)),
+        (((1, 2, 3, 4), (1, 2, 3, 4), (1, 2, 3, 4)), (1, 2)),
+        (((2, 3, 4), (2, 3, 4), (2, 3, 4)), (2, 3)),
+    ], ids=["d_head", "v_length", "key_pad", "three_d"])
+    def test_shape_mismatch_rejected(self, shapes, pad):
+        with pytest.raises(ad.ShapeError, match="attention"):
+            ad.attention(*(t(np.zeros(s)) for s in shapes), np.zeros(pad, dtype=bool), False)
+
+
+HEAP_PROBE = """
+import ctypes, numpy as np, tokendrop.autodiff
+class Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in ("arena", "ordblks", "smblks", "hblks",
+                "hblkhd", "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+info = ctypes.CDLL(None).mallinfo2
+info.restype = Mallinfo2
+before = info()
+arrays = [np.ones(1 << 17) for _ in range(100)]  # 100 arrays of 1 MiB
+during = info()
+del arrays
+after = info()
+# bytes in mappings of their own, and bytes the heap gave back
+print(during.hblkhd - before.hblkhd, during.arena - after.arena)
+"""
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallinfo2"), reason="needs glibc >= 2.33")
+def test_freed_arrays_stay_in_the_heap():
+    # a fresh process: the thresholds must come from importing autodiff
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", HEAP_PROBE], env={"PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True).stdout
+    mapped, trimmed = map(int, out.split())
+    assert (mapped, trimmed) == (0, 0)
 
 
 class TestLayerNorm:

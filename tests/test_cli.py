@@ -96,6 +96,14 @@ def test_train_on_an_empty_training_split_exits_2(tmp_path, capsys):
     assert "error: cannot train: the training split is empty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", ["train.validate_every=0", "model.n_heads=0"])
+def test_bad_train_setting_exits_2_before_training(tmp_path, capsys, override):
+    out = tmp_path / "run"
+    assert main(["train", "--out", str(out), *sets([*TINY, override])]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {override.split('.')[1].split('=')[0]}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["robustness", "--samples", "0"],
                                   ["robustness", "--rates", "1.5"],
                                   ["evaluate", "--max-len", "0"]])

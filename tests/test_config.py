@@ -137,9 +137,31 @@ class TestTaskValues:
         ("task.n_valid=-1", "n_valid"),
         ("task.n_test=-1", "n_test"),
         ("task.source_vocab_size=0", "source_vocab_size"),
+        ("model.n_heads=0", "n_heads"),  # was ZeroDivisionError
+        ("model.d_model=0", "d_model"),
+        ("model.d_ffn=0", "d_ffn"),
+        ("model.n_layers=0", "n_layers"),
+        ("model.max_len=0", "max_len"),
+        ("train.validate_every=0", "validate_every"),  # died after step 1
     ])
     def test_bad_count_rejected_by_name(self, override, name):
         with pytest.raises(ValueError, match=f"^{name} must be >= "):
+            load_config(None, [override])
+
+
+class TestModelAndTrainValues:
+    @pytest.mark.parametrize("override, message", [
+        ("model.p_dropout=1.0", r"p_dropout must lie in \[0, 1\)"),  # divided by zero
+        ("model.p_dropout=-0.1", r"p_dropout must lie in \[0, 1\)"),
+        ("train.clip_norm=-1", "clip_norm must be > 0"),  # flipped every gradient's sign
+        ("train.clip_norm=0", "clip_norm must be > 0"),
+        ("train.beta1=1.0", r"beta1 must lie in \[0, 1\)"),
+        ("train.beta1=-0.5", r"beta1 must lie in \[0, 1\)"),
+        ("train.beta2=1.0", r"beta2 must lie in \[0, 1\)"),
+        ("train.adam_eps=0", "adam_eps must be > 0"),
+    ])
+    def test_bad_value_rejected_by_name(self, override, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
             load_config(None, [override])
 
 

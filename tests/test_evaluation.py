@@ -1,8 +1,95 @@
 import math
 
+import numpy as np
 import pytest
 
-from tokendrop.evaluation import NoiseEvalSpec, corpus_bleu
+from tokendrop import autodiff as ad
+from tokendrop import evaluation
+from tokendrop.config import load_config
+from tokendrop.evaluation import (NoiseEvalSpec, corpus_bleu, greedy_decode, greedy_decode_batch,
+                                  noise_eval)
+from tokendrop.pipeline import build_state, prepare_data
+from tokendrop.vocab import EOS_ID
+
+
+@pytest.fixture(scope="module")
+def small():
+    """An untrained small model and its test split."""
+    cfg = load_config(None, ["task.n_train=16", "task.n_valid=2", "task.n_test=6",
+                             "model.d_model=16", "model.d_ffn=32", "model.n_layers=1",
+                             "model.n_heads=2"])
+    bundle = prepare_data(cfg)
+    return build_state(cfg, bundle), bundle.test
+
+
+class ScriptedDecoder:
+    """Stands in for `model.decode`: row i emits token 10 + i at each step
+    until step `stops[i]` (1-based), where it emits EOS; None never stops."""
+
+    def __init__(self, stops, vocab=20):
+        self.stops, self.vocab, self.calls = stops, vocab, 0
+
+    def __call__(self, target_input, enc, params, cfg):
+        self.calls += 1
+        b, step = target_input.corrupted_ids.shape
+        logits = np.zeros((b, step, self.vocab))
+        for i, stop in enumerate(self.stops):
+            logits[i, -1, EOS_ID if stop == step else 10 + i] = 1.0
+        return ad.Tensor(logits)
+
+
+class TestGreedyDecode:
+    def test_padded_batch_decodes_each_sentence_as_alone(self, small):
+        state, test = small
+        sources = [s for s, _ in test]
+        assert len({len(s) for s in sources}) > 1  # the batch pads
+        assert greedy_decode_batch(sources, state, 10) == [greedy_decode(s, state, 10)
+                                                           for s in sources]
+
+    def test_stops_at_eos_and_at_max_len(self, small, monkeypatch):
+        state, test = small
+        decoder = ScriptedDecoder([2, None, 1])
+        monkeypatch.setattr(evaluation, "decode", decoder)
+        hyps = greedy_decode_batch([s for s, _ in test[:3]], state, 5)
+        assert hyps == [[10], [11] * 5, []]
+        assert decoder.calls == 5
+
+    def test_stops_once_every_sentence_has_ended(self, small, monkeypatch):
+        state, test = small
+        decoder = ScriptedDecoder([3, 1])
+        monkeypatch.setattr(evaluation, "decode", decoder)
+        assert greedy_decode_batch([s for s, _ in test[:2]], state, 9) == [[10, 10], []]
+        assert decoder.calls == 3
+
+    def test_a_model_that_prefers_eos_emits_empty_hypotheses(self, small):
+        state, test = small
+        bias = state.params["out_bias"].data
+        saved = bias.copy()
+        bias[EOS_ID] = 1e3
+        try:
+            assert greedy_decode_batch([s for s, _ in test], state, 10) == [[]] * len(test)
+        finally:
+            bias[...] = saved
+
+
+class TestNoiseEval:
+    def test_rate_zero_decodes_once(self, small, monkeypatch):
+        state, test = small
+        calls = []
+        real = evaluation.greedy_decode_batch
+
+        def counting(sources, state, max_len):
+            calls.append([list(s) for s in sources])
+            return real(sources, state, max_len)
+
+        monkeypatch.setattr(evaluation, "greedy_decode_batch", counting)
+        rows = noise_eval(test, state, NoiseEvalSpec(rates=(0.0, 0.5), samples=3, seed=1,
+                                                     max_decode_len=6))
+        assert [r["rate"] for r in rows] == [0.0, 0.5]
+        assert len(calls) == 1 + 3
+        assert calls[0] == [list(s) for s, _ in test]  # rate 0 adds no noise
+        clean = corpus_bleu(real([s for s, _ in test], state, 6), [r for _, r in test]).bleu
+        assert rows[0] == {"rate": 0.0, "mean_bleu": clean, "std_bleu": 0.0}
 
 
 class TestCorpusBleu:

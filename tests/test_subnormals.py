@@ -2,7 +2,10 @@
 
 Subnormal operands make every product they reach many times slower. Masked
 attention scores underflow in softmax, so softmax gives exact zeros there
-(see `autodiff.softmax`), and nothing downstream may bring subnormals back.
+(see `autodiff._softmax_`), and nothing downstream may bring subnormals back.
+The fused attention op keeps its probabilities off the tape, so the tests
+record what `_softmax_` returns. At default scale no real score gap reaches
+the underflow range, so one test sharpens the queries until some do.
 """
 
 import numpy as np
@@ -16,9 +19,36 @@ from tokendrop.evaluation import greedy_decode_batch
 from tokendrop.pipeline import build_state, prepare_data
 
 
+TINY = np.finfo(np.float64).tiny
+# exp(-gap) is a subnormal for a gap between these; beyond them it is 0 or normal
+SUBNORMAL_GAPS = (-np.log(TINY), 745.14)
+
+
 def subnormals(arrays):
-    tiny = np.finfo(np.float64).tiny
-    return sum(int(np.count_nonzero((np.abs(a) > 0.0) & (np.abs(a) < tiny))) for a in arrays)
+    return sum(int(np.count_nonzero((np.abs(a) > 0.0) & (np.abs(a) < TINY))) for a in arrays)
+
+
+class Probabilities(list):
+    """The arrays `autodiff._softmax_` returned, and how many of its inputs lay
+    a subnormal-giving gap below their slice's maximum."""
+
+    underflowing = 0
+
+
+@pytest.fixture
+def probabilities(monkeypatch):
+    seen = Probabilities()
+    real = ad._softmax_
+
+    def recording(x, axis):
+        gap = x.max(axis=axis, keepdims=True) - x
+        lo, hi = SUBNORMAL_GAPS
+        seen.underflowing += int(np.count_nonzero((gap > lo) & (gap < hi)))
+        seen.append(real(x, axis))
+        return seen[-1]
+
+    monkeypatch.setattr(ad, "_softmax_", recording)
+    return seen
 
 
 @pytest.fixture(scope="module")
@@ -28,9 +58,13 @@ def default_run():
     return cfg, prepare_data(cfg)
 
 
-def test_default_train_step_leaves_no_subnormal(default_run, monkeypatch):
-    cfg, bundle = default_run
+def train_step_subnormals(cfg, bundle, monkeypatch, probabilities, query_scale):
+    """Subnormals found in each part of one train step, the query projections
+    of every attention block scaled by `query_scale` first."""
     state = build_state(cfg, bundle)
+    for name, t in state.params.items():
+        if name.endswith(".wq"):
+            t.data *= query_scale
     tapes, backward_grads, param_grads = [], [], []
 
     class RecordingTape(ad.GradTape):
@@ -65,20 +99,33 @@ def test_default_train_step_leaves_no_subnormal(default_run, monkeypatch):
     [tape] = tapes
     assert report.dropped_tokens > 0 and report.l_rtd > 0 and report.l_dtp > 0
     assert len(tape.entries) > 200 and param_grads and backward_grads
-    found = {
+    assert len(probabilities) == 3 * cfg.model.n_layers  # encoder, decoder self and cross
+    return {
+        "attention probabilities": subnormals(probabilities),
         "tape outputs": subnormals(e.output.data for e in tape.entries),
         "backward gradients": subnormals(backward_grads),
         "parameter gradients": subnormals(param_grads),
         "adam moments": subnormals([*state.adam_m.values(), *state.adam_v.values()]),
     }
+
+
+def test_default_train_step_leaves_no_subnormal(default_run, monkeypatch, probabilities):
+    found = train_step_subnormals(*default_run, monkeypatch, probabilities, 1.0)
     assert found == dict.fromkeys(found, 0)
 
 
-def test_decode_pass_leaves_no_subnormal(default_run):
+def test_sharp_attention_train_step_leaves_no_subnormal(default_run, monkeypatch, probabilities):
+    found = train_step_subnormals(*default_run, monkeypatch, probabilities, 100.0)
+    assert probabilities.underflowing > 0
+    assert found == dict.fromkeys(found, 0)
+
+
+def test_decode_pass_leaves_no_subnormal(default_run, probabilities):
     cfg, bundle = default_run
     state = build_state(cfg, bundle)
     # parameters require gradients, so under a tape every decoder op is recorded
     with ad.GradTape() as tape:
         hyps = greedy_decode_batch([s for s, _ in bundle.test], state, 12)
     assert len(hyps) == len(bundle.test) and len(tape.entries) > 100
+    assert probabilities and subnormals(probabilities) == 0
     assert subnormals(e.output.data for e in tape.entries) == 0

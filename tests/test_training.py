@@ -390,7 +390,11 @@ class TestCheckpoint:
         (lambda a, h: h.pop("step"), "step"),
         (lambda a, h: h["train_cfg"].update(momentum=0.5), "momentum"),
         (lambda a, h: a.update(header=np.frombuffer(b"[1]", dtype=np.uint8)), "JSON object"),
-    ], ids=["missing_array", "missing_header_key", "unknown_config_key", "header_not_an_object"])
+        # it kept its fresh random init
+        (lambda a, h: h.update(param_order=[e for e in h["param_order"] if e[0] != "src_emb"]),
+         r"lacks parameters \['src_emb'\]"),
+    ], ids=["missing_array", "missing_header_key", "unknown_config_key", "header_not_an_object",
+            "missing_parameter"])
     def test_incomplete_checkpoint_rejected(self, tmp_path, edit, named):
         with pytest.raises(CheckpointError, match=named):
             restore(edited_checkpoint(tmp_path, edit))

@@ -313,8 +313,10 @@ def attention(q, k, v, key_pad, causal):
 
     The mask adds `_MASK_OFFSET` to the scores of keys where the boolean
     `key_pad` [batch, key_len] is set and, if `causal`, of keys after the
-    query's position (twice where both hold). One tape entry keeps only the
-    attention probabilities for the backward pass.
+    query's position (twice where both hold). Causal queries are the last
+    query_len of key_len positions, so a query block that continues a
+    cached prefix sees that prefix. One tape entry keeps only the attention
+    probabilities for the backward pass.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     key_pad = np.asarray(key_pad, dtype=bool)
@@ -326,11 +328,14 @@ def attention(q, k, v, key_pad, causal):
     if k.data.shape != (b, h, lk, d) or v.data.shape[:3] != (b, h, lk) or key_pad.shape != (b, lk):
         raise ShapeError(f"attention shapes disagree: q {q.data.shape}, k {k.data.shape}, "
                          f"v {v.data.shape}, key_pad {key_pad.shape}")
+    if causal and lq > lk:
+        raise ShapeError(f"causal attention needs no more queries than keys, got {lq} and {lk}")
     scale = 1.0 / np.sqrt(d)
     s = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
     s *= scale
     if causal:
-        np.add(s, _MASK_OFFSET, out=s, where=np.triu(np.ones((lq, lk), dtype=bool), k=1))
+        later = np.triu(np.ones((lq, lk), dtype=bool), k=1 + lk - lq)
+        np.add(s, _MASK_OFFSET, out=s, where=later)
     np.add(s, _MASK_OFFSET, out=s, where=key_pad[:, None, None, :])
     _softmax_(s, -1)
     out = Tensor(np.matmul(s, v.data))

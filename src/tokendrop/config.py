@@ -158,6 +158,9 @@ def load_config(path=None, overrides=()):
     for sub in sections.values():
         if hasattr(sub, "__post_init__"):
             sub.__post_init__()
+    if cfg.eval.max_decode_len > cfg.model.max_len:
+        raise ConfigError(f"eval.max_decode_len {cfg.eval.max_decode_len} exceeds model.max_len "
+                          f"{cfg.model.max_len}: each decode step needs a position")
     return cfg
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dropping import droppable_positions, no_drop
-from .model import decode, encode
+from .model import DecodeCache, decode, encode
 from .vocab import BOS_ID, EOS_ID, PAD_ID, UNK_ID
 
 
@@ -27,9 +27,17 @@ def greedy_decode(source_ids, state, max_len):
 def greedy_decode_batch(sources, state, max_len):
     """Greedy-decode a list of source id sequences; order-stable output.
 
-    Ties in the argmax break toward the lowest token id.
+    Each step runs the decoder over the newest position only: one
+    `DecodeCache` per call keeps the earlier positions' self-attention keys
+    and values and the encoder's cross-attention ones. A row that has
+    emitted EOS is fed PAD until every row has ended or `max_len` steps
+    have run. Ties in the argmax break toward the lowest token id.
     """
     cfg = state.model_cfg
+    if max_len > cfg.max_len:
+        raise ValueError(f"decode length {max_len} exceeds the model's max_len {cfg.max_len}")
+    if not sources:
+        return []
     b = len(sources)
     src_len = max(len(s) for s in sources)
     src = np.full((b, src_len), PAD_ID, dtype=np.int64)
@@ -37,11 +45,11 @@ def greedy_decode_batch(sources, state, max_len):
         src[i, : len(s)] = s
     enc = encode(no_drop(src), state.params, cfg)
 
+    cache = DecodeCache()
     ys = np.full((b, 1), BOS_ID, dtype=np.int64)
     finished = np.zeros(b, dtype=bool)
     for _ in range(max_len):
-        tgt = no_drop(ys)
-        logits = decode(tgt, enc, state.params, cfg)
+        logits = decode(no_drop(ys[:, -1:]), enc, state.params, cfg, cache=cache)
         nxt = np.argmax(logits.data[:, -1, :], axis=-1)
         nxt = np.where(finished, PAD_ID, nxt)
         ys = np.concatenate([ys, nxt[:, None]], axis=1)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -142,21 +142,21 @@ def _dropout(x, p, train, rng):
     return ad.mul(x, keep)
 
 
-def embed(table, batch, cfg, *, train=False, rng=None):
+def embed(table, batch, cfg, *, start=0, train=False, rng=None):
     """Embedding lookup of a CorruptedBatch's ids scaled by sqrt(d_model),
-    plus sinusoidal positions.
+    plus sinusoidal positions counted from `start`.
 
     Rows where `batch.zeroed` is set are zeroed before the positional
     encoding is added, so position information survives.
     """
     ids = batch.corrupted_ids
+    end = start + ids.shape[1]
+    if end > cfg.max_len:
+        raise ValueError(f"sequence length {end} exceeds max_len {cfg.max_len}")
     x = ad.mul(ad.embedding(table, ids), math.sqrt(cfg.d_model))
     if batch.zeroed is not None:
         x = ad.mul(x, 1.0 - np.asarray(batch.zeroed, dtype=np.float64)[:, :, None])
-    length = ids.shape[1]
-    if length > cfg.max_len:
-        raise ValueError(f"sequence length {length} exceeds max_len {cfg.max_len}")
-    x = ad.add(x, sinusoidal_encoding(cfg.max_len, cfg.d_model)[:length])
+    x = ad.add(x, sinusoidal_encoding(cfg.max_len, cfg.d_model)[start:end])
     return _dropout(x, cfg.p_dropout, train, rng)
 
 
@@ -170,12 +170,20 @@ def _merge_heads(x, b, length, cfg):
     return ad.reshape(h, (b, length, cfg.d_model))
 
 
-def _attention(params, prefix, q_in, kv_in, key_pad, causal, cfg):
+def _attention(params, prefix, q_in, kv_in, key_pad, causal, cfg, cache=None):
     b, lq = q_in.data.shape[0], q_in.data.shape[1]
-    lk = kv_in.data.shape[1]
     q = _split_heads(ad.matmul(q_in, params[f"{prefix}.wq"]), b, lq, cfg)
-    k = _split_heads(ad.matmul(kv_in, params[f"{prefix}.wk"]), b, lk, cfg)
-    v = _split_heads(ad.matmul(kv_in, params[f"{prefix}.wv"]), b, lk, cfg)
+    if cache is not None and not causal and prefix in cache.kv:
+        k, v = cache.kv[prefix]
+    else:
+        lk = kv_in.data.shape[1]
+        k = _split_heads(ad.matmul(kv_in, params[f"{prefix}.wk"]), b, lk, cfg)
+        v = _split_heads(ad.matmul(kv_in, params[f"{prefix}.wv"]), b, lk, cfg)
+        if cache is not None:
+            if prefix in cache.kv:  # causal: the new positions' keys follow the cached ones
+                k, v = (ad.Tensor(np.concatenate([old.data, new.data], axis=2))
+                        for old, new in zip(cache.kv[prefix], (k, v)))
+            cache.kv[prefix] = (k, v)
     ctx = ad.attention(q, k, v, key_pad, causal)
     return ad.matmul(_merge_heads(ctx, b, lq, cfg), params[f"{prefix}.wo"])
 
@@ -202,14 +210,42 @@ def encode(source, params, cfg, *, train=False, rng=None):
     return EncodedBatch(hidden=x, pad_mask=pad_mask)
 
 
-def decode(target_input, enc, params, cfg, *, train=False, rng=None):
-    """Run the decoder; returns translation logits [batch, tgt_len, V_target]."""
+@dataclass
+class DecodeCache:
+    """What `decode` keeps between calls that extend the same target prefix.
+
+    `start` positions have been run so far and `pad_mask` [batch, start]
+    marks the pads among them. `kv` maps an attention block's prefix to
+    its keys and values [batch, heads, len, d_head]: a causal block's grow
+    by the new positions at each call, a cross block's are projected from
+    the encoder once and reused. Grown keys and values carry no gradient,
+    so a cache is for inference only.
+    """
+
+    start: int = 0
+    pad_mask: np.ndarray = None
+    kv: dict = field(default_factory=dict)
+
+
+def decode(target_input, enc, params, cfg, *, cache=None, train=False, rng=None):
+    """Run the decoder; returns translation logits [batch, tgt_len, V_target].
+
+    Without a cache, `target_input` is the whole prefix. With a
+    `DecodeCache`, it holds only the positions that follow the cached
+    ones, the logits cover those positions, and the cache takes them in.
+    """
     tgt_pad = target_input.original_ids == PAD_ID
-    x = embed(params["tgt_emb"], target_input, cfg, train=train, rng=rng)
+    start = 0 if cache is None else cache.start
+    x = embed(params["tgt_emb"], target_input, cfg, start=start, train=train, rng=rng)
+    if cache is not None:
+        if start:
+            tgt_pad = np.concatenate([cache.pad_mask, tgt_pad], axis=1)
+        cache.start, cache.pad_mask = start + target_input.original_ids.shape[1], tgt_pad
     for i in range(cfg.n_layers):
-        attn = _attention(params, f"dec{i}.self", x, x, tgt_pad, True, cfg)
+        attn = _attention(params, f"dec{i}.self", x, x, tgt_pad, True, cfg, cache)
         x = _sublayer(params, f"dec{i}.ln1", x, attn, cfg, train, rng)
-        cross = _attention(params, f"dec{i}.cross", x, enc.hidden, enc.pad_mask, False, cfg)
+        cross = _attention(params, f"dec{i}.cross", x, enc.hidden, enc.pad_mask, False, cfg,
+                           cache)
         x = _sublayer(params, f"dec{i}.ln2", x, cross, cfg, train, rng)
         x = _sublayer(params, f"dec{i}.ln3", x, _ffn(params, f"dec{i}.ffn", x), cfg, train, rng)
     if cfg.tie_output:

@@ -192,6 +192,36 @@ class TestAttention:
         for a in (probs, out.data, q.grad, k.grad, v.grad):
             assert not ((a != 0) & (np.abs(a) < tiny)).any()
 
+    @pytest.mark.parametrize("lq", [1, 3])
+    def test_causal_queries_are_the_last_positions(self, lq):
+        # a query block that continues a prefix of 6 - lq keys sees that prefix
+        rng = np.random.default_rng(lq)
+        q, k, v = (heads(rng, 2, 2, 6, 4) for _ in range(3))
+        key_pad = np.zeros((2, 6), dtype=bool)
+        key_pad[1, 2] = True
+        full = ad.attention(q, k, v, key_pad, True).data
+        tail = ad.attention(q.data[:, :, -lq:], k, v, key_pad, True).data
+        np.testing.assert_allclose(tail, full[:, :, -lq:], rtol=1e-12)
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_grad_check_with_fewer_queries_than_keys(self, which):
+        rng = np.random.default_rng(10 + which)
+        qkv = [heads(rng, 2, 2, 2, 3), heads(rng, 2, 2, 5, 3), heads(rng, 2, 2, 5, 3)]
+        key_pad = np.array([[False, True, False, False, False], [False] * 5])
+        w = rng.normal(size=(2, 2, 2, 3))
+
+        def f(x):
+            args = [x if i == which else a for i, a in enumerate(qkv)]
+            return ad.tsum(ad.mul(ad.attention(*args, key_pad, True), w))
+
+        assert ad.grad_check(f, qkv[which]) < 1e-6
+
+    def test_causal_with_more_queries_than_keys_rejected(self):
+        rng = np.random.default_rng(0)
+        q, k = heads(rng, 1, 1, 3, 2), heads(rng, 1, 1, 2, 2)
+        with pytest.raises(ad.ShapeError, match="no more queries than keys"):
+            ad.attention(q, k, k, np.zeros((1, 2), dtype=bool), True)
+
     @pytest.mark.parametrize("shapes, pad", [
         (((1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 3, 4)), (1, 3)),
         (((1, 2, 3, 4), (1, 2, 3, 4), (1, 2, 2, 4)), (1, 3)),

@@ -106,10 +106,19 @@ def test_bad_train_setting_exits_2_before_training(tmp_path, capsys, override):
 
 @pytest.mark.parametrize("argv", [["robustness", "--samples", "0"],
                                   ["robustness", "--rates", "1.5"],
-                                  ["evaluate", "--max-len", "0"]])
+                                  ["evaluate", "--max-len", "0"],
+                                  ["evaluate", "--max-len", "257"]])
 def test_bad_eval_flag_exits_2(run_dir, argv, capsys):
     assert main([argv[0], "--run", run_dir, *argv[1:]]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_sweep_with_a_decode_length_past_the_position_table_exits_2_before_training(
+        tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--out", str(out), *sets([*TINY, "model.max_len=7"])]) == 2
+    assert capsys.readouterr().err.startswith("error: eval.max_decode_len 8 exceeds")
+    assert not out.exists()
 
 
 def test_sweep_rates_from_config_or_flag(tmp_path):

@@ -183,6 +183,12 @@ class TestEvalValues:
         with pytest.raises(ValueError, match=message):
             load_config(write(tmp_path, f"[{section}]\n{key} = {value}\n"))
 
+    def test_decode_length_beyond_the_position_table_rejected(self):
+        with pytest.raises(ConfigError, match="max_decode_len 20 exceeds model.max_len 14"):
+            load_config(None, ["model.max_len=14", "eval.max_decode_len=20"])
+        cfg = load_config(None, ["model.max_len=14", "eval.max_decode_len=14"])
+        assert cfg.eval.max_decode_len == cfg.model.max_len == 14
+
     def test_noise_spec_carries_the_eval_settings(self):
         cfg = load_config(None, ["eval.noise_rates=0,0.1", "eval.noise_samples=3",
                                  "eval.seed=9", "eval.max_decode_len=12"])

@@ -8,7 +8,7 @@ from tokendrop import evaluation
 from tokendrop.config import load_config
 from tokendrop.evaluation import (NoiseEvalSpec, corpus_bleu, greedy_decode, greedy_decode_batch,
                                   noise_eval)
-from tokendrop.pipeline import build_state, prepare_data
+from tokendrop.pipeline import build_state, evaluate_clean, prepare_data
 from tokendrop.vocab import EOS_ID
 
 
@@ -24,17 +24,19 @@ def small():
 
 class ScriptedDecoder:
     """Stands in for `model.decode`: row i emits token 10 + i at each step
-    until step `stops[i]` (1-based), where it emits EOS; None never stops."""
+    until step `stops[i]` (1-based), where it emits EOS; None never stops.
+    The step is the number of calls, since a cached decoder sees only the
+    newest position."""
 
     def __init__(self, stops, vocab=20):
         self.stops, self.vocab, self.calls = stops, vocab, 0
 
-    def __call__(self, target_input, enc, params, cfg):
+    def __call__(self, target_input, enc, params, cfg, cache=None):
         self.calls += 1
-        b, step = target_input.corrupted_ids.shape
-        logits = np.zeros((b, step, self.vocab))
+        b, length = target_input.corrupted_ids.shape
+        logits = np.zeros((b, length, self.vocab))
         for i, stop in enumerate(self.stops):
-            logits[i, -1, EOS_ID if stop == step else 10 + i] = 1.0
+            logits[i, -1, EOS_ID if stop == self.calls else 10 + i] = 1.0
         return ad.Tensor(logits)
 
 
@@ -60,6 +62,28 @@ class TestGreedyDecode:
         monkeypatch.setattr(evaluation, "decode", decoder)
         assert greedy_decode_batch([s for s, _ in test[:2]], state, 9) == [[10, 10], []]
         assert decoder.calls == 3
+
+    def test_decode_length_is_bounded_by_the_position_table(self, monkeypatch):
+        cfg = load_config(None, ["task.n_train=16", "task.n_valid=2", "task.n_test=4",
+                                 "task.len_max=6", "model.d_model=8", "model.d_ffn=16",
+                                 "model.n_layers=1", "model.n_heads=2", "model.max_len=8",
+                                 "eval.max_decode_len=8"])
+        bundle = prepare_data(cfg)
+        state = build_state(cfg, bundle)
+        sources = [s for s, _ in bundle.test]
+        hyps = greedy_decode_batch(sources, state, 8)  # the last step reads position 7
+        assert len(hyps) == len(sources) and all(len(h) <= 8 for h in hyps)
+        decoder = ScriptedDecoder([None] * len(sources))
+        monkeypatch.setattr(evaluation, "decode", decoder)
+        with pytest.raises(ValueError, match="decode length 9 exceeds the model's max_len 8"):
+            greedy_decode_batch(sources, state, 9)
+        assert decoder.calls == 0  # refused before the first step
+
+    def test_no_sources_give_no_hypotheses(self, small):
+        state, _ = small
+        assert greedy_decode_batch([], state, 5) == []
+        with pytest.raises(ValueError, match="empty corpus"):
+            evaluate_clean(state, [], 5)
 
     def test_a_model_that_prefers_eos_emits_empty_hypotheses(self, small):
         state, test = small

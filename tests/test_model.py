@@ -9,7 +9,7 @@ from tokendrop import model as md
 from tokendrop.data import ParallelBatch
 from tokendrop.dropping import (DROP_TAG, UNK_TAG, ZERO_OUT, CorruptedBatch, DropConfig, corrupt,
                                 corrupt_ids, drop_records, no_drop)
-from tokendrop.vocab import PAD_ID, UNK_ID
+from tokendrop.vocab import BOS_ID, EOS_ID, PAD_ID, UNK_ID
 
 
 def tiny_cfg(**kw):
@@ -161,6 +161,38 @@ class TestDecode:
             out = self.run_decode([changed], params, cfg).data
             np.testing.assert_allclose(out[0, :j], base[0, :j], atol=1e-12)
             assert not np.allclose(out[0, j:], base[0, j:], atol=1e-9)
+
+    @pytest.mark.parametrize("chunks", [(1,) * 7, (3, 1, 2, 1)])
+    def test_cached_decode_matches_one_full_decode_at_every_step(self, chunks):
+        cfg = tiny_cfg(d_model=8, d_ffn=16, n_layers=2, n_heads=2)
+        params = params_for(cfg, seed=5)
+        enc = encode_ids([[5, 6, 7, 8], [9, 5, PAD_ID, PAD_ID], [6, PAD_ID, PAD_ID, PAD_ID]],
+                         params, cfg)
+        # row 1 has ended: greedy decoding feeds it PAD after its EOS
+        tgt = np.array([[BOS_ID, 5, 6, 7, 8, 9, 10],
+                        [BOS_ID, 7, EOS_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID],
+                        [BOS_ID, 8, 8, 9, 10, 5, 5]])
+        full = md.decode(no_drop(tgt), enc, params, cfg).data
+        cache = md.DecodeCache()
+        start = 0
+        for n in chunks:
+            new = md.decode(no_drop(tgt[:, start:start + n]), enc, params, cfg, cache=cache).data
+            start += n
+            assert cache.start == start and new.shape == (3, n, cfg.tgt_vocab_size)
+            np.testing.assert_allclose(new, full[:, start - n:start], rtol=0,
+                                       atol=1e-12 * np.abs(full).max())
+        assert set(cache.kv) == {f"dec{i}.{b}" for i in range(2) for b in ("self", "cross")}
+
+    def test_cached_decode_past_max_len_rejected(self):
+        cfg = tiny_cfg(max_len=4)
+        params = params_for(cfg)
+        enc = encode_ids([[5, 6]], params, cfg)
+        cache = md.DecodeCache()
+        md.decode(no_drop(np.array([[BOS_ID, 5, 6]])), enc, params, cfg, cache=cache)
+        md.decode(no_drop(np.array([[7]])), enc, params, cfg, cache=cache)  # the last position
+        with pytest.raises(ValueError, match="sequence length 5 exceeds max_len 4"):
+            md.decode(no_drop(np.array([[8]])), enc, params, cfg, cache=cache)
+        assert cache.start == 4 and cache.pad_mask.shape == (1, 4)
 
     def test_tied_output_projection_option(self):
         cfg = tiny_cfg(tie_output=True)

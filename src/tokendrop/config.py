@@ -161,6 +161,10 @@ def load_config(path=None, overrides=()):
     if cfg.eval.max_decode_len > cfg.model.max_len:
         raise ConfigError(f"eval.max_decode_len {cfg.eval.max_decode_len} exceeds model.max_len "
                           f"{cfg.model.max_len}: each decode step needs a position")
+    for given, missing in (("vocab_src", "vocab_tgt"), ("vocab_tgt", "vocab_src")):
+        if getattr(cfg.data, given) and not getattr(cfg.data, missing):
+            raise ConfigError(f"{given} is set without {missing}: saved vocabularies are "
+                              "loaded as a pair, so set both [data] keys or neither")
     return cfg
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vocab import BOS_ID, EOS_ID, PAD_ID, tokenize
+from .vocab import BOS_ID, EOS_ID, PAD_ID, SPECIAL_TOKENS, tokenize
 
 
 @dataclass
@@ -202,7 +202,10 @@ def _read_lines(path):
 
 
 def load_parallel(src_path, tgt_path):
-    """Read paired files; line i of each file forms one pair."""
+    """Read paired files; line i of each file forms one pair.
+
+    A token spelled like a reserved symbol (`<unk>`, `<pad>`, ...) is
+    rejected: it would encode to that symbol's structural id."""
     src_lines = _read_lines(src_path)
     tgt_lines = _read_lines(tgt_path)
     if len(src_lines) != len(tgt_lines):
@@ -213,6 +216,10 @@ def load_parallel(src_path, tgt_path):
         src, tgt = tokenize(s), tokenize(t)
         if not src or not tgt:
             raise ValueError(f"empty line {i} in parallel corpus")
+        for path, tokens in ((src_path, src), (tgt_path, tgt)):
+            reserved = [tok for tok in tokens if tok in SPECIAL_TOKENS]
+            if reserved:
+                raise ValueError(f"line {i} of {path} holds the reserved token {reserved[0]}")
         pairs.append((src, tgt))
     return pairs
 

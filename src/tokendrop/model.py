@@ -3,7 +3,7 @@
 The encoder doubles as the generator whose hidden states feed two extra
 heads: a per-position linear discriminator that scores whether a token was
 dropped, and a dropped-token prediction head whose output projection is the
-input embedding matrix itself (weight tying: one storage object).
+transposed source embedding matrix (weight tying: one storage object).
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ class ModelConfig:
     tgt_vocab_size: int = 0
     p_dropout: float = 0.1
     max_len: int = 256
-    shared_embedding: bool = False
-    tie_dtp: bool = True
     tie_output: bool = False
 
     def __post_init__(self):
@@ -56,7 +54,12 @@ def sinusoidal_encoding(max_len, d_model):
 
 
 def init_parameters(cfg, rng):
-    """Build the parameter dict in a stable, serializable order."""
+    """Build the parameter dict in a stable, serializable order.
+
+    Each name maps to its own tensor; no two share memory. The tied heads
+    read `src_emb` (DTP) and, with `tie_output`, `tgt_emb` (translation)
+    by name, so neither has a parameter of its own.
+    """
     params = {}
 
     def xavier(name, fan_in, fan_out):
@@ -70,13 +73,8 @@ def init_parameters(cfg, rng):
     scale = cfg.d_model**-0.5
     params["src_emb"] = ad.Tensor(rng.normal(0.0, scale, size=(cfg.src_vocab_size, cfg.d_model)),
                                   requires_grad=True)
-    if cfg.shared_embedding:
-        if cfg.src_vocab_size != cfg.tgt_vocab_size:
-            raise ValueError("shared embedding requires equal vocabulary sizes")
-        params["tgt_emb"] = params["src_emb"]
-    else:
-        params["tgt_emb"] = ad.Tensor(
-            rng.normal(0.0, scale, size=(cfg.tgt_vocab_size, cfg.d_model)), requires_grad=True)
+    params["tgt_emb"] = ad.Tensor(rng.normal(0.0, scale, size=(cfg.tgt_vocab_size, cfg.d_model)),
+                                  requires_grad=True)
 
     def attention_block(prefix):
         for w in ("wq", "wk", "wv", "wo"):
@@ -110,23 +108,11 @@ def init_parameters(cfg, rng):
     vector("out_bias", cfg.tgt_vocab_size)
     xavier("rtd.w", cfg.d_model, 1)
     vector("rtd.b", 1)
-    if not cfg.tie_dtp:
-        xavier("dtp_proj", cfg.d_model, cfg.src_vocab_size)
-    # With tying the DTP projection is the source embedding matrix itself.
     return params
 
 
-def unique_parameters(params):
-    """Parameters with aliases (tied tensors) collapsed, in insertion order."""
-    seen = {}
-    for name, t in params.items():
-        if id(t) not in seen:
-            seen[id(t)] = (name, t)
-    return list(seen.values())
-
-
 def parameter_count(params):
-    return sum(t.data.size for _, t in unique_parameters(params))
+    return sum(t.data.size for t in params.values())
 
 
 @dataclass
@@ -265,9 +251,9 @@ def rtd_head(enc, params):
     return ad.reshape(probs, (b, length))
 
 
-def dtp_head(enc, dropped_batch_idx, dropped_pos_idx, params, cfg):
-    """Project hidden states at dropped positions through the tied embedding."""
+def dtp_head(enc, dropped_batch_idx, dropped_pos_idx, params):
+    """Logits over the source vocabulary [n_dropped, V_source] at the dropped
+    positions: hidden states times the transposed source embedding, so the
+    DTP head adds no parameter and its gradient reaches `src_emb`."""
     h = ad.take_positions(enc.hidden, dropped_batch_idx, dropped_pos_idx)
-    if cfg.tie_dtp:
-        return ad.matmul(h, ad.transpose(params["src_emb"], (1, 0)))
-    return ad.matmul(h, params["dtp_proj"])
+    return ad.matmul(h, ad.transpose(params["src_emb"], (1, 0)))

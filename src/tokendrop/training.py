@@ -20,12 +20,11 @@ import numpy as np
 from . import autodiff as ad
 from .data import make_batches
 from .dropping import DropConfig, corrupt, drop_records, no_drop
-from .model import (ModelConfig, decode, dtp_head, encode, init_parameters,
-                    rtd_head, unique_parameters)
+from .model import ModelConfig, decode, dtp_head, encode, init_parameters, rtd_head
 from .objectives import ObjectiveConfig, dtp_loss, joint_loss, rtd_loss, translation_loss
 from .vocab import PAD_ID
 
-CHECKPOINT_FORMAT_VERSION = 2  # raised whenever a header config gains or loses a field
+CHECKPOINT_FORMAT_VERSION = 3  # raised whenever a header config gains or loses a field
 
 
 @dataclass
@@ -75,9 +74,8 @@ class TrainState:
         self.train_cfg = train_cfg
         init_rng, self.corrupt_rng, self.dropout_rng = _spawn_rngs(train_cfg.seed, drop_cfg.seed)
         self.params = init_parameters(model_cfg, init_rng)
-        uniques = unique_parameters(self.params)
-        self.adam_m = {name: np.zeros_like(t.data) for name, t in uniques}
-        self.adam_v = {name: np.zeros_like(t.data) for name, t in uniques}
+        self.adam_m = {name: np.zeros_like(t.data) for name, t in self.params.items()}
+        self.adam_v = {name: np.zeros_like(t.data) for name, t in self.params.items()}
         self.step = 0
 
     def learning_rate(self, step):
@@ -109,7 +107,6 @@ def train_step(batch, state):
     cfg, drop, obj, tc = state.model_cfg, state.drop_cfg, state.obj_cfg, state.train_cfg
     src, tgt_in = corrupt(batch, drop, state.corrupt_rng)
 
-    uniques = unique_parameters(state.params)
     with ad.GradTape():
         enc = encode(src, state.params, cfg, train=True, rng=state.dropout_rng)
         logits = decode(tgt_in, enc, state.params, cfg, train=True, rng=state.dropout_rng)
@@ -120,18 +117,18 @@ def train_step(batch, state):
             l_rtd = _zero_loss()
         if obj.beta > 0:
             bi, pi, orig, _ = drop_records(src)
-            l_dtp = dtp_loss(dtp_head(enc, bi, pi, state.params, cfg), orig)
+            l_dtp = dtp_loss(dtp_head(enc, bi, pi, state.params), orig)
         else:
             l_dtp = _zero_loss()
         joint, report = joint_loss(l_m, l_rtd, l_dtp, obj)
         report.target_tokens = l_m.token_count
         report.droppable_tokens = int(src.droppable.sum())
         report.dropped_tokens = int(src.mask.sum())
-        ad.backward(joint, params=[t for _, t in uniques])
+        ad.backward(joint, params=list(state.params.values()))
 
-    report.grad_norm = clip_gradients([t.grad for _, t in uniques], tc.clip_norm)
+    report.grad_norm = clip_gradients([t.grad for t in state.params.values()], tc.clip_norm)
     if not math.isfinite(report.grad_norm):
-        for _, t in uniques:  # a later step must not accumulate onto these
+        for t in state.params.values():  # a later step must not accumulate onto these
             t.zero_grad()
         raise NonFiniteGradientError(f"global gradient norm is non-finite: {report.grad_norm}")
     state.step += 1
@@ -139,7 +136,7 @@ def train_step(batch, state):
     b1, b2, eps = tc.beta1, tc.beta2, tc.adam_eps
     corr1 = 1.0 - b1**state.step
     corr2 = 1.0 - b2**state.step
-    for name, t in uniques:
+    for name, t in state.params.items():
         m = state.adam_m[name]
         v = state.adam_v[name]
         m *= b1
@@ -251,17 +248,16 @@ _STATE_CONFIGS = (("model_cfg", ModelConfig), ("drop_cfg", DropConfig),
 
 def checkpoint(state, path):
     """Serialize the full training state (versioned header + named arrays)."""
-    uniques = unique_parameters(state.params)
     header = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         **{name: asdict(getattr(state, name)) for name, _ in _STATE_CONFIGS},
         "step": state.step,
-        "param_order": [[name, list(t.data.shape)] for name, t in uniques],
+        "param_order": [[name, list(t.data.shape)] for name, t in state.params.items()],
         "corrupt_rng": state.corrupt_rng.bit_generator.state,
         "dropout_rng": state.dropout_rng.bit_generator.state,
     }
     arrays = {"header": np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)}
-    for name, t in uniques:
+    for name, t in state.params.items():
         arrays[f"param.{name}"] = t.data
         arrays[f"adam_m.{name}"] = state.adam_m[name]
         arrays[f"adam_v.{name}"] = state.adam_v[name]
@@ -297,20 +293,19 @@ def restore(path):
 
     try:
         state = TrainState(*(cls(**header[name]) for name, cls in _STATE_CONFIGS))
-        by_name = dict(unique_parameters(state.params))
-        missing = by_name.keys() - {name for name, _ in header["param_order"]}
+        missing = state.params.keys() - {name for name, _ in header["param_order"]}
         if missing:
             raise CheckpointError(f"checkpoint {path} lacks parameters {sorted(missing)}")
         for name, shape in header["param_order"]:
-            if name not in by_name:
+            if name not in state.params:
                 raise CheckpointError(f"checkpoint parameter {name} unknown to this configuration")
             expect = tuple(shape)
             data = arrays[f"param.{name}"]
-            if data.shape != expect or by_name[name].data.shape != expect:
+            if data.shape != expect or state.params[name].data.shape != expect:
                 raise CheckpointError(
                     f"shape mismatch for {name}: header {expect}, stored {data.shape}, "
-                    f"model {by_name[name].data.shape}")
-            by_name[name].data = data.astype(np.float64)
+                    f"model {state.params[name].data.shape}")
+            state.params[name].data = data.astype(np.float64)
             state.adam_m[name] = arrays[f"adam_m.{name}"].astype(np.float64)
             state.adam_v[name] = arrays[f"adam_v.{name}"].astype(np.float64)
         state.step = int(header["step"])

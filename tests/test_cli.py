@@ -62,20 +62,36 @@ def test_robustness_flags_override_the_run(run_dir):
     assert all(float(r["std_bleu"]) == 0.0 for r in rows)  # one sample per rate
 
 
-def test_evaluate_reads_the_test_files_of_a_parallel_corpus_run(tmp_path):
-    corpus = {"train": ["a b c", "b c", "c a b", "a"], "valid": ["b a"], "test": ["c b", "a c a"]}
+def corpus_files(tmp_path, corpus):
+    """Write each split's lines as both its source and its target file;
+    returns the overrides that name them."""
     files = []
     for split, lines in corpus.items():
         for side in ("src", "tgt"):
             path = tmp_path / f"{split}.{side}"
             path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
             files.append(f"data.{split}_{side}={path}")
+    return files
+
+
+def test_evaluate_reads_the_test_files_of_a_parallel_corpus_run(tmp_path):
+    files = corpus_files(tmp_path, {"train": ["a b c", "b c", "c a b", "a"], "valid": ["b a"],
+                                    "test": ["c b", "a c a"]})
     out = str(tmp_path / "run")
     assert main(["train", "--out", out, *sets([*TINY, "data.synthetic=false", *files])]) == 0
     assert not os.path.exists(os.path.join(out, "data"))
     hyps = tmp_path / "hyps.txt"
     assert main(["evaluate", "--run", out, "--hypotheses", str(hyps)]) == 0
     assert len(hyps.read_text().splitlines()) == 2
+
+
+def test_reserved_token_in_the_corpus_exits_2(tmp_path, capsys):
+    files = corpus_files(tmp_path, {"train": ["a b", "b <unk> a"], "valid": ["b a"],
+                                    "test": ["a"]})
+    out = str(tmp_path / "run")
+    assert main(["train", "--out", out, *sets([*TINY, "data.synthetic=false", *files])]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: line 2 of {tmp_path / 'train.src'} holds the reserved token <unk>\n"
 
 
 def test_train_on_an_empty_training_split_exits_2(tmp_path, capsys):
@@ -96,7 +112,8 @@ def test_train_on_an_empty_training_split_exits_2(tmp_path, capsys):
     assert "error: cannot train: the training split is empty" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("override", ["train.validate_every=0", "model.n_heads=0"])
+@pytest.mark.parametrize("override", ["train.validate_every=0", "model.n_heads=0",
+                                      "data.vocab_src=/nonexistent/only_src"])
 def test_bad_train_setting_exits_2_before_training(tmp_path, capsys, override):
     out = tmp_path / "run"
     assert main(["train", "--out", str(out), *sets([*TINY, override])]) == 2
@@ -137,9 +154,14 @@ def one_entry_short(data):
     return b"".join(data.splitlines(keepends=True)[:-1])
 
 
+def with_tie_dtp(data):  # as a run written before the key was removed
+    return data.replace(b"[model]\n", b"[model]\ntie_dtp = True\n")
+
+
 @pytest.mark.parametrize("name, damage, message", [
     ("checkpoint.npz", truncated, "cannot read checkpoint"),
     ("vocab.tgt", one_entry_short, "target vocabulary has"),
+    ("config.ini", with_tie_dtp, "unknown config key [model] tie_dtp"),
 ])
 def test_damaged_run_exits_2(run_dir, tmp_path, capsys, name, damage, message):
     broken = tmp_path / "broken"

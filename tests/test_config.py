@@ -75,10 +75,10 @@ class TestKeys:
 
     def test_override_sets_the_field_with_its_type(self):
         cfg = load_config(None, ["train.max_steps=7", "model.p_dropout=0.25",
-                                 "task.identity_mapping=yes", "model.tie_dtp=off",
+                                 "task.identity_mapping=yes", "model.tie_output=on",
                                  "eval.noise_rates=0 0.2,0.3", "drop.strategy=zero_out"])
         assert cfg.train.max_steps == 7 and cfg.model.p_dropout == 0.25
-        assert cfg.data.task.identity_mapping is True and cfg.model.tie_dtp is False
+        assert cfg.data.task.identity_mapping is True and cfg.model.tie_output is True
         assert cfg.eval.noise_rates == (0.0, 0.2, 0.3)
         assert cfg.drop.strategy == "zero_out"
 
@@ -88,6 +88,8 @@ class TestKeys:
         ("data.task=x", r"\[data\] task"),
         ("bogus.seed=1", r"\[bogus\] seed"),
         ("train.momentum=0.9", r"\[train\] momentum"),
+        ("model.shared_embedding=yes", r"\[model\] shared_embedding"),
+        ("model.tie_dtp=off", r"\[model\] tie_dtp"),
     ])
     def test_unknown_key_rejected_by_name(self, override, named):
         with pytest.raises(ConfigError, match=named):
@@ -124,6 +126,16 @@ class TestFile:
         path = write(tmp_path, "[train]\nseed = 4\nmax_steps = 9\n")
         cfg = load_config(path, ["train.seed=5"])
         assert (cfg.train.seed, cfg.train.max_steps) == (5, 9)
+
+    @pytest.mark.parametrize("given, missing", [("vocab_src", "vocab_tgt"),
+                                                ("vocab_tgt", "vocab_src")])
+    def test_vocabulary_path_on_one_side_rejected(self, tmp_path, given, missing):
+        # was ignored: a fresh vocabulary was built for both sides
+        path = write(tmp_path, f"[data]\n{given} = only.vocab\n")
+        with pytest.raises(ConfigError, match=f"^{given} is set without {missing}"):
+            load_config(path)
+        cfg = load_config(path, [f"data.{missing}=other.vocab"])
+        assert {cfg.data.vocab_src, cfg.data.vocab_tgt} == {"only.vocab", "other.vocab"}
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -33,16 +34,18 @@ class TestConfig:
                              src_vocab_size=100, tgt_vocab_size=100, p_dropout=0.3)
         assert cfg.d_model == 512
 
+    @pytest.mark.parametrize("tie_output", [False, True])
+    def test_each_parameter_name_has_its_own_array(self, tie_output):
+        cfg = md.ModelConfig(src_vocab_size=11, tgt_vocab_size=13, tie_output=tie_output)
+        params = params_for(cfg)
+        assert ("out_proj" in params) is not tie_output
+        for (a, x), (b, y) in itertools.combinations(params.items(), 2):
+            assert x is not y and not np.shares_memory(x.data, y.data), (a, b)
+
     def test_parameter_count_is_config_function(self):
         a = md.parameter_count(params_for(tiny_cfg(), seed=1))
         b = md.parameter_count(params_for(tiny_cfg(), seed=99))
         assert a == b
-
-    def test_tying_saves_vocab_times_dmodel(self):
-        tied = md.parameter_count(params_for(tiny_cfg(tie_dtp=True)))
-        untied = md.parameter_count(params_for(tiny_cfg(tie_dtp=False)))
-        cfg = tiny_cfg()
-        assert untied - tied == cfg.src_vocab_size * cfg.d_model
 
 
 class TestEmbed:
@@ -260,7 +263,7 @@ class TestHeads:
         cfg = tiny_cfg()
         params = params_for(cfg)
         enc = encode_ids([[5, 6]], params, cfg)
-        out = md.dtp_head(enc, np.array([], dtype=int), np.array([], dtype=int), params, cfg)
+        out = md.dtp_head(enc, np.array([], dtype=int), np.array([], dtype=int), params)
         assert out.data.shape == (0, cfg.src_vocab_size)
 
     def test_dtp_orthogonal_embedding_argmax(self):
@@ -269,7 +272,7 @@ class TestHeads:
         params["src_emb"].data = np.eye(4)
         hidden = ad.Tensor(np.eye(4)[2][None, None, :])  # equals embedding row 2
         enc = md.EncodedBatch(hidden=hidden, pad_mask=np.zeros((1, 1), dtype=bool))
-        logits = md.dtp_head(enc, np.array([0]), np.array([0]), params, cfg)
+        logits = md.dtp_head(enc, np.array([0]), np.array([0]), params)
         assert int(np.argmax(logits.data[0])) == 2
 
     def test_tying_is_single_storage(self):
@@ -278,7 +281,7 @@ class TestHeads:
         ids = np.array([[5, 6, 7]])
         enc = encode_ids(ids, params, cfg)
         with ad.GradTape():
-            logits = md.dtp_head(enc, np.array([0]), np.array([1]), params, cfg)
+            logits = md.dtp_head(enc, np.array([0]), np.array([1]), params)
             loss = ad.cross_entropy(logits, np.array([6]))
             # gradient flows into the embedding through the projection alias
             ad.backward(loss, params=[params["src_emb"]])
@@ -310,7 +313,7 @@ class TestFullLossGradient:
         bi, pi, orig, _ = drop_records(src)
 
         worst = 0.0
-        for name, tensor in md.unique_parameters(params):
+        for name, tensor in params.items():
             def f(x, name=name):
                 saved = params[name]
                 params[name] = x
@@ -319,7 +322,7 @@ class TestFullLossGradient:
                     logits = md.decode(tgt, enc, params, cfg)
                     l_m = translation_loss(logits, batch.target_output, PAD_ID)
                     l_rtd = rtd_loss(md.rtd_head(enc, params), src.mask, src.droppable)
-                    l_dtp = dtp_loss(md.dtp_head(enc, bi, pi, params, cfg), orig)
+                    l_dtp = dtp_loss(md.dtp_head(enc, bi, pi, params), orig)
                     joint, _ = joint_loss(l_m, l_rtd, l_dtp, oc)
                     return joint
                 finally:

@@ -195,10 +195,9 @@ class TestPerObjectiveGradientScaling:
         src, tgt = corrupt(batch, DropConfig(p_source=0.5, p_target=0.3), np.random.default_rng(2))
         bi, pi, orig, _ = drop_records(src)
         alpha, beta = 1.7, 0.4
-        uniques = md.unique_parameters(params)
 
         def grads_of(which):
-            for _, p in uniques:
+            for p in params.values():
                 p.zero_grad()
             with ad.GradTape():
                 enc = md.encode(src, params, cfg)
@@ -206,15 +205,15 @@ class TestPerObjectiveGradientScaling:
                 losses = {
                     "m": lambda: ob.translation_loss(logits, batch.target_output, PAD_ID),
                     "rtd": lambda: ob.rtd_loss(md.rtd_head(enc, params), src.mask, src.droppable),
-                    "dtp": lambda: ob.dtp_loss(md.dtp_head(enc, bi, pi, params, cfg), orig),
+                    "dtp": lambda: ob.dtp_loss(md.dtp_head(enc, bi, pi, params), orig),
                 }
                 if which == "joint":
                     joint, _ = ob.joint_loss(losses["m"](), losses["rtd"](), losses["dtp"](),
                                              ob.ObjectiveConfig(alpha=alpha, beta=beta))
-                    ad.backward(joint, params=[p for _, p in uniques])
+                    ad.backward(joint, params=list(params.values()))
                 else:
-                    ad.backward(losses[which](), params=[p for _, p in uniques])
-            return {n: p.grad.copy() for n, p in uniques}
+                    ad.backward(losses[which](), params=list(params.values()))
+            return {n: p.grad.copy() for n, p in params.items()}
 
         g_joint = grads_of("joint")
         g_m, g_rtd, g_dtp = grads_of("m"), grads_of("rtd"), grads_of("dtp")

@@ -10,7 +10,7 @@ from tokendrop import training
 from tokendrop.config import load_config
 from tokendrop.data import SyntheticTaskSpec, generate_synthetic_corpus, make_batches
 from tokendrop.dropping import DropConfig
-from tokendrop.model import ModelConfig, unique_parameters
+from tokendrop.model import ModelConfig
 from tokendrop.objectives import ObjectiveConfig
 from tokendrop.pipeline import build_state, prepare_data
 from tokendrop.training import (CheckpointError, NonFiniteGradientError, RunLog, TrainConfig,
@@ -44,7 +44,7 @@ def small_setup(seed=0, drop=None, objective=None, **train_kw):
 
 
 def snapshot(state):
-    return {name: t.data.copy() for name, t in unique_parameters(state.params)}
+    return {name: t.data.copy() for name, t in state.params.items()}
 
 
 def states_equal(a, b):
@@ -177,7 +177,7 @@ class TestNonFiniteGradient:
             train_step(batch, state)
         assert states_equal(state, before)
         # nothing left behind for the next step's backward to accumulate onto
-        assert all(t.grad is None for _, t in unique_parameters(state.params))
+        assert all(t.grad is None for t in state.params.values())
 
 
 class TestValidate:
@@ -375,9 +375,11 @@ class TestCheckpoint:
             restore(path)
 
     def test_wrong_format_version_rejected(self, tmp_path):
-        path = edited_checkpoint(tmp_path, lambda a, h: h.update(format_version=999))
-        with pytest.raises(CheckpointError, match="version"):
-            restore(path)
+        # version 2 headers carried model.shared_embedding and model.tie_dtp
+        for version in (2, 999):
+            path = edited_checkpoint(tmp_path, lambda a, h: h.update(format_version=version))
+            with pytest.raises(CheckpointError, match=f"version {version}"):
+                restore(path)
 
     def test_shape_mismatch_rejected(self, tmp_path):
         # the restored model no longer matches the arrays

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -227,6 +229,19 @@ class TestLoadParallel:
         (tmp_path / "x.src").write_text("a\n\nb\n")
         (tmp_path / "x.tgt").write_text("c\nd\ne\n")
         with pytest.raises(ValueError, match="line 2"):
+            dt.load_parallel(tmp_path / "x.src", tmp_path / "x.tgt")
+
+    @pytest.mark.parametrize("token", vb.SPECIAL_TOKENS)
+    @pytest.mark.parametrize("side", ["src", "tgt"])
+    def test_reserved_token_rejected_with_file_line_and_token(self, tmp_path, token, side):
+        # <pad> encoded to PAD_ID and was masked as padding; in training,
+        # any of them failed later as "duplicate tokens in vocabulary"
+        lines = {"src": ["a b", "c d"], "tgt": ["e", "f g"]}
+        lines[side][1] = f"f {token} g"
+        for s, text in lines.items():
+            (tmp_path / f"x.{s}").write_text("".join(t + "\n" for t in text))
+        message = f"line 2 of {tmp_path / f'x.{side}'} holds the reserved token {token}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             dt.load_parallel(tmp_path / "x.src", tmp_path / "x.tgt")
 
 

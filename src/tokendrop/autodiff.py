@@ -7,6 +7,20 @@ gathering, and two fused ops: the masked attention core and a token-level
 cross entropy. Operations executed while a GradTape is active are recorded;
 replaying the tape in reverse accumulates gradients into every tensor that
 influenced the loss.
+
+A tape entry holds the gradient slots (`_Node`) of its inputs and output,
+not the tensors, and a backward closure over only the arrays that backward
+reads. So a forward intermediate that no backward reads is freed as soon as
+the model code drops it. What each op keeps:
+- `add`, `sub`, `reshape`, `tsum`, `transpose`: shapes only.
+- `mul`: each side keeps the other side's data only if that other side
+  needs a gradient when the op is recorded; a side recorded without one
+  gets `None`, which `backward` skips.
+- `relu`: its output, not its input.
+- `power`, `log`, `clip`: their input or a mask of it; `sigmoid` and
+  `softmax` their output; `matmul` both operands; `attention` q, k, v and
+  the probabilities; `embedding` the table; `take_positions` its input;
+  `cross_entropy` the log-probabilities.
 """
 
 from __future__ import annotations
@@ -38,9 +52,30 @@ def _keep_freed_memory():
 _keep_freed_memory()
 
 
-class Tensor:
-    """A dense float64 array plus gradient bookkeeping.
+class _Node:
+    """The gradient slot of one tensor: all that the tape and `backward` touch.
 
+    It holds `grad`, `requires_grad`, and the shape and strides of the
+    tensor's data, never the data itself. A first gradient that has to be
+    copied is laid out as that data is (see `_accumulate`).
+    """
+
+    __slots__ = ("grad", "requires_grad", "shape", "strides")
+
+    def __init__(self, data, requires_grad):
+        self.grad = None
+        self.requires_grad = requires_grad
+        self.shape = data.shape
+        self.strides = data.strides
+
+
+class Tensor:
+    """A dense float64 array plus a gradient slot (`_Node`).
+
+    A tensor made with `requires_grad=True` gets its slot at once; any other
+    gets one only when a tape records it, so untaped work (decoding) makes
+    none. The slot takes the data's layout each time a tape records the
+    tensor, so it follows an assignment to `data` (as `restore` makes).
     `grad` is populated (as a plain ndarray) by `backward`. `requires_grad`
     is the only gradient flag: the caller sets it on trainable leaves, and an
     op recorded on a tape sets it on its output when any input has it.
@@ -50,8 +85,23 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad)
-        self.grad = None
+        self._node = _Node(self.data, True) if requires_grad else None
+
+    @property
+    def requires_grad(self):
+        return self._node is not None and self._node.requires_grad
+
+    @requires_grad.setter
+    def requires_grad(self, flag):
+        self._slot().requires_grad = bool(flag)
+
+    @property
+    def grad(self):
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, g):
+        self._slot().grad = g
 
     @property
     def shape(self):
@@ -61,8 +111,17 @@ class Tensor:
     def size(self):
         return self.data.size
 
+    def _slot(self):
+        """The gradient slot, made on first use, with the data's current layout."""
+        if self._node is None:
+            self._node = _Node(self.data, False)
+        else:
+            self._node.shape, self._node.strides = self.data.shape, self.data.strides
+        return self._node
+
     def zero_grad(self):
-        self.grad = None
+        if self._node is not None:
+            self._node.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -73,6 +132,9 @@ class ShapeError(ValueError):
 
 
 class _TapeEntry:
+    """One recorded op: the slots of its inputs and output, and a backward
+    closure over the arrays that backward reads."""
+
     __slots__ = ("inputs", "output", "backward_fn")
 
     def __init__(self, inputs, output, backward_fn):
@@ -109,24 +171,45 @@ _ACTIVE_TAPE = None
 
 
 def _record(inputs, output, backward_fn):
-    if _ACTIVE_TAPE is not None and any(t.requires_grad for t in inputs):
-        output.requires_grad = True
-        _ACTIVE_TAPE.entries.append(_TapeEntry(inputs, output, backward_fn))
+    if _ACTIVE_TAPE is None or not any(t.requires_grad for t in inputs):
+        return
+    output._node = _Node(output.data, True)
+    _ACTIVE_TAPE.entries.append(
+        _TapeEntry(tuple(t._slot() for t in inputs), output._node, backward_fn))
 
 
 def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _accumulate(t, g):
-    if t.grad is None:
-        # A fresh array in the layout of `t.data`: `g` may be shared with
-        # another input (add, sub), and its own layout (permuted after a
-        # transpose) would change how later matmuls round.
-        t.grad = np.empty_like(t.data)
-        t.grad[...] = g
+# What `_empty_like` lays a slot's layout over; no element of it is read.
+_LAYOUT_BASE = np.empty(1)
+
+
+def _empty_like(node):
+    """`np.empty_like` of an array with the slot's shape and strides."""
+    return np.empty_like(np.lib.stride_tricks.as_strided(
+        _LAYOUT_BASE, node.shape, node.strides, writeable=False))
+
+
+def _accumulate(node, g, kept):
+    """Add `g` into the slot's gradient.
+
+    A first gradient is kept as it is when it is writable, laid out as the
+    tensor's data (a permuted layout, after `transpose`, would change how
+    later matmuls round), and shares no memory with a gradient `kept` from
+    the same tape entry (`add` and `sub` hand both inputs one `g`). Otherwise
+    it is copied into a fresh array in the data's layout.
+    """
+    if node.grad is not None:
+        node.grad += g
+    elif (g.shape == node.shape and g.strides == node.strides and g.flags.writeable
+          and not any(np.may_share_memory(g, k) for k in kept)):
+        node.grad = g
+        kept.append(g)
     else:
-        t.grad += g
+        node.grad = _empty_like(node)
+        node.grad[...] = g
 
 
 def _unbroadcast(grad, shape):
@@ -142,35 +225,34 @@ def _unbroadcast(grad, shape):
 
 def add(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
+    sa, sb = a.data.shape, b.data.shape
     out = Tensor(a.data + b.data)
-
-    def backward_fn(g):
-        return (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape))
-
-    _record((a, b), out, backward_fn)
+    _record((a, b), out, lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
     return out
 
 
 def sub(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
+    sa, sb = a.data.shape, b.data.shape
     out = Tensor(a.data - b.data)
-
-    def backward_fn(g):
-        return (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape))
-
-    _record((a, b), out, backward_fn)
+    _record((a, b), out, lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
     return out
 
 
 def mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data * b.data)
+    x, y = a.data, b.data
+    out = Tensor(x * y)
+    if _ACTIVE_TAPE is None:  # nothing to record: spare decoding the checks below
+        return out
+    sa, sb = x.shape, y.shape
+    # Each side keeps the other's data only if it needs a gradient itself.
+    ya = y if a.requires_grad else None
+    xb = x if b.requires_grad else None
 
     def backward_fn(g):
-        return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
-        )
+        return (None if ya is None else _unbroadcast(g * ya, sa),
+                None if xb is None else _unbroadcast(g * xb, sb))
 
     _record((a, b), out, backward_fn)
     return out
@@ -179,20 +261,17 @@ def mul(a, b):
 def power(a, exponent):
     """Elementwise a**exponent for a constant scalar exponent."""
     a = _as_tensor(a)
-    e = float(exponent)
-    out = Tensor(a.data**e)
-
-    def backward_fn(g):
-        return (g * e * a.data ** (e - 1.0),)
-
-    _record((a,), out, backward_fn)
+    x, e = a.data, float(exponent)
+    out = Tensor(x**e)
+    _record((a,), out, lambda g: (g * e * x ** (e - 1.0),))
     return out
 
 
 def log(a):
     a = _as_tensor(a)
-    out = Tensor(np.log(a.data))
-    _record((a,), out, lambda g: (g / a.data,))
+    x = a.data
+    out = Tensor(np.log(x))
+    _record((a,), out, lambda g: (g / x,))
     return out
 
 
@@ -207,8 +286,10 @@ def sigmoid(a):
 
 def relu(a):
     a = _as_tensor(a)
-    out = Tensor(np.maximum(a.data, 0.0))
-    _record((a,), out, lambda g: (g * (a.data > 0.0),))
+    y = np.maximum(a.data, 0.0)
+    out = Tensor(y)
+    # y > 0 exactly where a > 0 (NaN fails both), so the input can go.
+    _record((a,), out, lambda g: (g * (y > 0.0),))
     return out
 
 
@@ -228,12 +309,13 @@ def matmul(a, b):
         raise ShapeError(f"matmul needs >=2-d operands, got {a.data.shape} and {b.data.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} x {b.data.shape}")
-    out = Tensor(np.matmul(a.data, b.data))
+    x, y = a.data, b.data
+    out = Tensor(np.matmul(x, y))
 
     def backward_fn(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return (_unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape))
+        ga = np.matmul(g, np.swapaxes(y, -1, -2))
+        gb = np.matmul(np.swapaxes(x, -1, -2), g)
+        return (_unbroadcast(ga, x.shape), _unbroadcast(gb, y.shape))
 
     _record((a, b), out, backward_fn)
     return out
@@ -241,8 +323,9 @@ def matmul(a, b):
 
 def reshape(a, shape):
     a = _as_tensor(a)
+    sa = a.data.shape
     out = Tensor(a.data.reshape(shape))
-    _record((a,), out, lambda g: (g.reshape(a.data.shape),))
+    _record((a,), out, lambda g: (g.reshape(sa),))
     return out
 
 
@@ -256,13 +339,14 @@ def transpose(a, axes):
 
 def tsum(a, axis=None, keepdims=False):
     a = _as_tensor(a)
+    sa = a.data.shape
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
 
     def backward_fn(g):
         if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
+            return (np.broadcast_to(g, sa).copy(),)
         gx = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gx, a.data.shape).copy(),)
+        return (np.broadcast_to(gx, sa).copy(),)
 
     _record((a,), out, backward_fn)
     return out
@@ -330,24 +414,25 @@ def attention(q, k, v, key_pad, causal):
                          f"v {v.data.shape}, key_pad {key_pad.shape}")
     if causal and lq > lk:
         raise ShapeError(f"causal attention needs no more queries than keys, got {lq} and {lk}")
+    qd, kd, vd = q.data, k.data, v.data
     scale = 1.0 / np.sqrt(d)
-    s = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+    s = np.matmul(qd, np.swapaxes(kd, -1, -2))
     s *= scale
     if causal:
         later = np.triu(np.ones((lq, lk), dtype=bool), k=1 + lk - lq)
         np.add(s, _MASK_OFFSET, out=s, where=later)
     np.add(s, _MASK_OFFSET, out=s, where=key_pad[:, None, None, :])
     _softmax_(s, -1)
-    out = Tensor(np.matmul(s, v.data))
+    out = Tensor(np.matmul(s, vd))
 
     def backward_fn(g):
-        gs = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        gs = np.matmul(g, np.swapaxes(vd, -1, -2))
         gv = np.matmul(np.swapaxes(s, -1, -2), g)
         gs -= (gs * s).sum(axis=-1, keepdims=True)
         gs *= s
         gs *= scale
-        gq = np.matmul(gs, k.data)
-        gk = np.swapaxes(np.matmul(np.swapaxes(q.data, -1, -2), gs), -1, -2)
+        gq = np.matmul(gs, kd)
+        gk = np.swapaxes(np.matmul(np.swapaxes(qd, -1, -2), gs), -1, -2)
         return (gq, gk, gv)
 
     _record((q, k, v), out, backward_fn)
@@ -373,11 +458,12 @@ def embedding(table, ids):
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise IndexError(f"embedding id out of range for table with {table.data.shape[0]} rows")
-    out = Tensor(table.data[ids])
+    rows = table.data
+    out = Tensor(rows[ids])
 
     def backward_fn(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
+        gt = np.zeros_like(rows)
+        np.add.at(gt, ids.reshape(-1), g.reshape(-1, rows.shape[1]))
         return (gt,)
 
     _record((table,), out, backward_fn)
@@ -387,12 +473,13 @@ def embedding(table, ids):
 def take_positions(x, batch_idx, pos_idx):
     """Gather rows x[b, t, :] at paired (batch, position) indices."""
     x = _as_tensor(x)
+    xd = x.data
     batch_idx = np.asarray(batch_idx, dtype=np.intp)
     pos_idx = np.asarray(pos_idx, dtype=np.intp)
-    out = Tensor(x.data[batch_idx, pos_idx])
+    out = Tensor(xd[batch_idx, pos_idx])
 
     def backward_fn(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros_like(xd)
         np.add.at(gx, (batch_idx, pos_idx), g)
         return (gx,)
 
@@ -423,7 +510,8 @@ def cross_entropy(logits, targets, ignore_id=None):
     if count == 0:
         out = Tensor(np.float64(0.0))
         out.token_count = 0
-        _record((logits,), out, lambda g: (np.zeros_like(logits.data),))
+        shape = logits.data.shape
+        _record((logits,), out, lambda g: (np.zeros(shape),))
         return out
 
     m = logits.data.max(axis=1, keepdims=True)
@@ -463,13 +551,15 @@ def backward(loss, params=None):
     if loss.grad is None:
         loss.grad = np.ones_like(loss.data)
     for entry in reversed(_ACTIVE_TAPE.entries):
-        if entry.output.grad is None:
+        out = entry.output
+        if out.grad is None:
             continue
-        gs = entry.backward_fn(entry.output.grad)
-        for t, g in zip(entry.inputs, gs):
-            if t.requires_grad:
-                _accumulate(t, g)
-        entry.output.grad = None  # intermediates are single-use
+        gs = entry.backward_fn(out.grad)
+        out.grad = None  # intermediates are single-use
+        kept = []
+        for node, g in zip(entry.inputs, gs):
+            if g is not None and node.requires_grad:
+                _accumulate(node, g, kept)
     if params is not None:
         for p in params:
             if p.grad is None:

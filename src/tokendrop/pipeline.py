@@ -75,8 +75,8 @@ def train_run(cfg, out_dir, on_record=None):
     data/{train,valid,test}.{src,tgt} for synthetic tasks, checkpoint.npz,
     metrics.jsonl. Returns (state, bundle, log).
     """
+    bundle = prepare_data(cfg)  # first, so a corpus that fails to load leaves no directory
     os.makedirs(out_dir, exist_ok=True)
-    bundle = prepare_data(cfg)
     dump_config(cfg, os.path.join(out_dir, CONFIG_SNAPSHOT_NAME))
     bundle.src_vocab.save(os.path.join(out_dir, VOCAB_SRC_NAME))
     bundle.tgt_vocab.save(os.path.join(out_dir, VOCAB_TGT_NAME))

@@ -26,7 +26,7 @@ class Vocabulary:
         self.id_to_token = list(SPECIAL_TOKENS) + list(tokens)
         self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
         if len(self.token_to_id) != len(self.id_to_token):
-            raise ValueError("duplicate tokens in vocabulary")
+            raise ValueError(f"duplicate token {_first_repeat(self.id_to_token)} in vocabulary")
 
     def __len__(self):
         return len(self.id_to_token)
@@ -51,7 +51,15 @@ class Vocabulary:
             tokens = [line.rstrip("\n") for line in fh]
         if tokens[:NUM_SPECIALS] != list(SPECIAL_TOKENS):
             raise ValueError(f"vocabulary file {path} does not start with the reserved specials")
-        return cls(tokens[NUM_SPECIALS:])
+        try:
+            return cls(tokens[NUM_SPECIALS:])
+        except ValueError as exc:
+            raise ValueError(f"vocabulary file {path}: {exc}") from None
+
+
+def _first_repeat(tokens):
+    seen = set()
+    return next(t for t in tokens if t in seen or seen.add(t))
 
 
 def build_vocabulary(codes, names, max_size):

@@ -3,6 +3,7 @@ import pathlib
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -418,6 +419,93 @@ class TestBackward:
 
         g1, g2 = run(), run()
         assert (g1 == g2).all()
+
+
+class TestFirstGradients:
+    def test_add_of_a_tensor_to_itself_gives_twice_the_gradient(self):
+        x = t([1.0, 2.0, 3.0], grad=True)
+        g = np.array([0.5, -1.0, 2.0])
+        with ad.GradTape():
+            ad.backward(ad.tsum(ad.mul(ad.add(x, x), g)))
+        np.testing.assert_array_equal(x.grad, 2.0 * g)
+
+    def test_gradient_in_a_matching_layout_is_kept_not_copied(self):
+        x = t([1.0, 2.0, 3.0], grad=True)
+        handed = []
+        with ad.GradTape() as tape:
+            loss = ad.tsum(ad.mul(x, 2.0))
+            entry = tape.entries[0]
+            real = entry.backward_fn
+
+            def handing_out(g):
+                handed.extend(real(g))
+                return handed
+
+            entry.backward_fn = handing_out
+            ad.backward(loss)
+        assert x.grad is handed[0]
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+
+    def test_gradient_of_a_transposed_view_keeps_the_view_layout(self):
+        base = np.arange(12.0).reshape(3, 4)
+        c = np.arange(12.0).reshape(4, 3) - 5.0
+        v = ad.Tensor(base.T, requires_grad=True)
+        with ad.GradTape():
+            ad.backward(ad.tsum(ad.mul(v, c)))
+        assert v.grad.strides == v.data.strides != c.strides
+        np.testing.assert_array_equal(v.grad, c)
+        # the slot follows an assignment to `data`, as `restore` makes
+        v.data = np.ascontiguousarray(v.data)
+        v.zero_grad()
+        with ad.GradTape():
+            ad.backward(ad.tsum(ad.mul(v, c)))
+        assert v.grad.strides == v.data.strides == c.strides
+        np.testing.assert_array_equal(v.grad, c)
+
+
+class TestTapeKeepsOnlyWhatBackwardReads:
+    """A tape entry holds gradient slots, so an intermediate array lives only
+    while the model code or some backward closure holds it."""
+
+    @staticmethod
+    def ffn_with_dropout(x, w, b, keep):
+        """Residual relu layer with dropout; weakrefs to its dropout output
+        and its pre-relu sum."""
+        pre = ad.add(ad.matmul(x, w), b)
+        dropped = ad.mul(ad.relu(pre), keep)
+        y = ad.add(x, dropped)
+        return ad.tsum(ad.mul(y, y)), weakref.ref(pre.data), weakref.ref(dropped.data)
+
+    def test_dropout_output_and_pre_relu_sum_are_freed(self):
+        rng = np.random.default_rng(0)
+        x, w, b = t(rng.normal(size=(4, 3)), grad=True), t(rng.normal(size=(3, 3)), grad=True), \
+            t(rng.normal(size=3), grad=True)
+        keep = (rng.random((4, 3)) >= 0.5) / 0.5
+        with ad.GradTape():
+            loss, pre, dropped = self.ffn_with_dropout(x, w, b, keep)
+            assert pre() is None and dropped() is None
+            ad.backward(loss)
+        # the same gradients, in closed form
+        xd, wd, bd = x.data, w.data, b.data
+        pre_d = xd @ wd + bd
+        y = xd + np.maximum(pre_d, 0.0) * keep
+        g_pre = 2.0 * y * keep * (pre_d > 0.0)
+        np.testing.assert_allclose(w.grad, xd.T @ g_pre, rtol=1e-12)
+        np.testing.assert_allclose(b.grad, g_pre.sum(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(x.grad, 2.0 * y + g_pre @ wd.T, rtol=1e-12)
+
+    @pytest.mark.parametrize("constant_first", [False, True])
+    def test_mul_by_a_constant_keeps_nothing_of_the_other_operand(self, constant_first):
+        x = t([1.0, -2.0, 3.0], grad=True)
+        c = np.array([2.0, 0.5, -1.0])
+        with ad.GradTape():
+            h = ad.add(x, x)
+            ref = weakref.ref(h.data)
+            out = ad.mul(c, h) if constant_first else ad.mul(h, c)
+            del h
+            assert ref() is None
+            ad.backward(ad.tsum(out))
+        np.testing.assert_array_equal(x.grad, 2.0 * c)
 
 
 class TestGradCheck:

@@ -92,6 +92,7 @@ def test_reserved_token_in_the_corpus_exits_2(tmp_path, capsys):
     assert main(["train", "--out", out, *sets([*TINY, "data.synthetic=false", *files])]) == 2
     err = capsys.readouterr().err
     assert err == f"error: line 2 of {tmp_path / 'train.src'} holds the reserved token <unk>\n"
+    assert not os.path.exists(out)
 
 
 def test_train_on_an_empty_training_split_exits_2(tmp_path, capsys):

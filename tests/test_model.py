@@ -204,6 +204,29 @@ class TestDecode:
         out = self.run_decode([[1, 5]], params, cfg)
         assert out.data.shape == (1, 2, cfg.tgt_vocab_size)
 
+    def test_tied_embedding_gets_lookup_plus_projection_gradient(self, monkeypatch):
+        cfg = tiny_cfg(tie_output=True)
+        target = no_drop(np.array([[BOS_ID, 5, 6, 5]]))
+        weights = np.random.default_rng(1).normal(size=(1, 4, cfg.tgt_vocab_size))
+
+        def tgt_emb_grads(separate_lookup):
+            params = params_for(cfg)
+            tied = params["tgt_emb"]
+            lookup = ad.Tensor(tied.data.copy(), requires_grad=True) if separate_lookup else tied
+            real_embed = md.embed
+            monkeypatch.setattr(md, "embed", lambda table, *a, **kw: real_embed(
+                lookup if table is tied else table, *a, **kw))
+            enc = encode_ids([[5, 6]], params, cfg)
+            with ad.GradTape():
+                out = md.decode(target, enc, params, cfg)
+                ad.backward(ad.tsum(ad.mul(out, weights)))
+            return tied.grad, lookup.grad
+
+        both, _ = tgt_emb_grads(False)
+        projection, lookup = tgt_emb_grads(True)
+        assert lookup.any() and projection.any()
+        np.testing.assert_array_equal(both, projection + lookup)
+
 
 def test_mode_arguments_are_keyword_only():
     # a stray positional, such as a strategy string, must not bind to `train`

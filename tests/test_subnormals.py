@@ -4,8 +4,10 @@ Subnormal operands make every product they reach many times slower. Masked
 attention scores underflow in softmax, so softmax gives exact zeros there
 (see `autodiff._softmax_`), and nothing downstream may bring subnormals back.
 The fused attention op keeps its probabilities off the tape, so the tests
-record what `_softmax_` returns. At default scale no real score gap reaches
-the underflow range, so one test sharpens the queries until some do.
+record what `_softmax_` returns. The tape keeps gradient slots, not arrays,
+so the tests collect each recorded op's output as `_record` sees it. At
+default scale no real score gap reaches the underflow range, so one test
+sharpens the queries until some do.
 """
 
 import numpy as np
@@ -51,6 +53,21 @@ def probabilities(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def tape_outputs(monkeypatch):
+    """The output arrays of every op a tape records."""
+    seen = []
+    real = ad._record
+
+    def recording(inputs, output, backward_fn):
+        real(inputs, output, backward_fn)
+        if output.requires_grad:
+            seen.append(output.data)
+
+    monkeypatch.setattr(ad, "_record", recording)
+    return seen
+
+
 @pytest.fixture(scope="module")
 def default_run():
     """The default config (model, drop, objectives, training) on a smaller corpus."""
@@ -58,7 +75,7 @@ def default_run():
     return cfg, prepare_data(cfg)
 
 
-def train_step_subnormals(cfg, bundle, monkeypatch, probabilities, query_scale):
+def train_step_subnormals(cfg, bundle, monkeypatch, probabilities, tape_outputs, query_scale):
     """Subnormals found in each part of one train step, the query projections
     of every attention block scaled by `query_scale` first."""
     state = build_state(cfg, bundle)
@@ -75,7 +92,8 @@ def train_step_subnormals(cfg, bundle, monkeypatch, probabilities, query_scale):
     def keeping_grads(fn):
         def wrapper(g):
             gs = fn(g)
-            backward_grads.extend(gs)
+            # copied: `backward` may keep one as a gradient and add into it
+            backward_grads.extend(g.copy() for g in gs if g is not None)
             return gs
         return wrapper
 
@@ -98,34 +116,36 @@ def train_step_subnormals(cfg, bundle, monkeypatch, probabilities, query_scale):
 
     [tape] = tapes
     assert report.dropped_tokens > 0 and report.l_rtd > 0 and report.l_dtp > 0
-    assert len(tape.entries) > 200 and param_grads and backward_grads
+    assert len(tape.entries) == len(tape_outputs) > 200 and param_grads and backward_grads
     assert len(probabilities) == 3 * cfg.model.n_layers  # encoder, decoder self and cross
     return {
         "attention probabilities": subnormals(probabilities),
-        "tape outputs": subnormals(e.output.data for e in tape.entries),
+        "tape outputs": subnormals(tape_outputs),
         "backward gradients": subnormals(backward_grads),
         "parameter gradients": subnormals(param_grads),
         "adam moments": subnormals([*state.adam_m.values(), *state.adam_v.values()]),
     }
 
 
-def test_default_train_step_leaves_no_subnormal(default_run, monkeypatch, probabilities):
-    found = train_step_subnormals(*default_run, monkeypatch, probabilities, 1.0)
+def test_default_train_step_leaves_no_subnormal(default_run, monkeypatch, probabilities,
+                                                tape_outputs):
+    found = train_step_subnormals(*default_run, monkeypatch, probabilities, tape_outputs, 1.0)
     assert found == dict.fromkeys(found, 0)
 
 
-def test_sharp_attention_train_step_leaves_no_subnormal(default_run, monkeypatch, probabilities):
-    found = train_step_subnormals(*default_run, monkeypatch, probabilities, 100.0)
+def test_sharp_attention_train_step_leaves_no_subnormal(default_run, monkeypatch, probabilities,
+                                                       tape_outputs):
+    found = train_step_subnormals(*default_run, monkeypatch, probabilities, tape_outputs, 100.0)
     assert probabilities.underflowing > 0
     assert found == dict.fromkeys(found, 0)
 
 
-def test_decode_pass_leaves_no_subnormal(default_run, probabilities):
+def test_decode_pass_leaves_no_subnormal(default_run, probabilities, tape_outputs):
     cfg, bundle = default_run
     state = build_state(cfg, bundle)
     # parameters require gradients, so under a tape every decoder op is recorded
     with ad.GradTape() as tape:
         hyps = greedy_decode_batch([s for s, _ in bundle.test], state, 12)
-    assert len(hyps) == len(bundle.test) and len(tape.entries) > 100
+    assert len(hyps) == len(bundle.test) and len(tape.entries) == len(tape_outputs) > 100
     assert probabilities and subnormals(probabilities) == 0
-    assert subnormals(e.output.data for e in tape.entries) == 0
+    assert subnormals(tape_outputs) == 0

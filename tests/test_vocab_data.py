@@ -37,6 +37,13 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             vb.Vocabulary.load(path)
 
+    def test_load_names_the_file_and_the_repeated_token(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("<pad>\n<bos>\n<eos>\n<unk>\n<dropped>\na\n<unk>\n")
+        message = f"vocabulary file {path}: duplicate token <unk> in vocabulary"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            vb.Vocabulary.load(path)
+
 
 class TestBuildVocabulary:
     def test_all_tokens_fit(self):

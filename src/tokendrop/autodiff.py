@@ -2,11 +2,11 @@
 
 Implements exactly the operation set the translation model needs: elementwise
 arithmetic with broadcasting, matmul (optionally batched), softmax, log,
-sigmoid, relu, reshape/transpose, reductions, embedding lookup, position
-gathering, and two fused ops: the masked attention core and a token-level
-cross entropy. Operations executed while a GradTape is active are recorded;
-replaying the tape in reverse accumulates gradients into every tensor that
-influenced the loss.
+sigmoid, relu, dropout, reshape/transpose, reductions, embedding lookup,
+position gathering, and two fused ops: the masked attention core and a
+token-level cross entropy. Operations executed while a GradTape is active
+are recorded; replaying the tape in reverse accumulates gradients into every
+tensor that influenced the loss.
 
 A tape entry holds the gradient slots (`_Node`) of its inputs and output,
 not the tensors, and a backward closure over only the arrays that backward
@@ -17,6 +17,7 @@ the model code drops it. What each op keeps:
   needs a gradient when the op is recorded; a side recorded without one
   gets `None`, which `backward` skips.
 - `relu`: its output, not its input.
+- `dropout`: its boolean keep mask and the scale.
 - `power`, `log`, `clip`: their input or a mask of it; `sigmoid` and
   `softmax` their output; `matmul` both operands; `attention` q, k, v and
   the probabilities; `embedding` the table; `take_positions` its input;
@@ -255,6 +256,30 @@ def mul(a, b):
                 None if xb is None else _unbroadcast(g * xb, sb))
 
     _record((a, b), out, backward_fn)
+    return out
+
+
+def dropout(x, keep, p):
+    """Inverted dropout: `x` where the boolean `keep` is set, else 0, scaled
+    by 1/(1-p).
+
+    Computed as `x * keep`, then `*= 1/(1-p)`, and the gradient likewise.
+    Multiplying by 1.0 or 0.0 is exact, so this rounds as `x * (keep/(1-p))`
+    does, signed zeros included. The tape keeps the mask as booleans, not as
+    a float array the size of `x`.
+    """
+    x = _as_tensor(x)
+    scale = 1.0 / (1.0 - p)
+    y = x.data * keep
+    y *= scale
+    out = Tensor(y)
+
+    def backward_fn(g):
+        gx = g * keep
+        gx *= scale
+        return (gx,)
+
+    _record((x,), out, backward_fn)
     return out
 
 

@@ -1,8 +1,11 @@
 """Synthetic parallel corpora, file ingestion, and deterministic batching.
 
 A corpus is held as integer token codes (`CodedCorpus`, `Sentences`) and
-encoded to vocabulary ids through one lookup table per side. Token strings
-are made only where a corpus is written to disk (`CodedCorpus.token_pairs`).
+encoded to vocabulary ids through one lookup table per side. An encoded split
+(`SentencePairs`) keeps the ids as flat arrays, and `make_batches` pads its
+batches from them; no sentence becomes a Python list on the way to a batch.
+Token strings are made only where a corpus is written to disk
+(`CodedCorpus.token_pairs`).
 
 Draw order of the synthetic corpus: `generate_synthetic_corpus` makes one
 length draw and then one token draw per sentence, from one generator seeded
@@ -67,10 +70,11 @@ def token_mapping(spec):
     return perm[: spec.source_vocab_size]
 
 
-@dataclass
+@dataclass(eq=False)
 class Sentences:
     """Sentences as one flat array of integer token codes: sentence i is
-    `codes[bounds[i]:bounds[i + 1]]`."""
+    `codes[bounds[i]:bounds[i + 1]]`. Indexing and iteration give sentences
+    as lists of ints."""
 
     codes: np.ndarray
     bounds: np.ndarray
@@ -82,11 +86,80 @@ class Sentences:
         codes = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
         return cls(codes.astype(np.int64, copy=False), np.concatenate(([0], np.cumsum(lengths))))
 
+    def __len__(self):
+        return len(self.bounds) - 1
+
+    def lengths(self):
+        return self.bounds[1:] - self.bounds[:-1]
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]  # a negative index counts from the end; out of range raises
+        return self.codes[self.bounds[i] : self.bounds[i + 1]].tolist()
+
+    def __iter__(self):
+        flat = self.codes.tolist()
+        bounds = self.bounds.tolist()
+        return (flat[s:e] for s, e in zip(bounds, bounds[1:]))
+
     def lists(self, table):
         """Each sentence as a Python list holding `table[code]` for its codes."""
-        flat = table[self.codes].tolist()
-        bounds = self.bounds.tolist()
-        return [flat[s:e] for s, e in zip(bounds, bounds[1:])]
+        return list(Sentences(table[self.codes], self.bounds))
+
+    def take(self, rows):
+        """The sentences at the integer array `rows`, in that order."""
+        starts = self.bounds[rows]
+        lengths = self.bounds[rows + 1] - starts
+        bounds = np.concatenate(([0], np.cumsum(lengths)))
+        index = np.arange(bounds[-1]) + np.repeat(starts - bounds[:-1], lengths)
+        return Sentences(self.codes[index], bounds)
+
+    def padded(self, offset=0, extra=0):
+        """Every sentence as a row of PAD_ID, `offset` + longest + `extra`
+        wide, with the sentence's codes from column `offset` on."""
+        lengths = self.lengths()
+        cols = np.arange(offset + lengths.max(initial=0) + extra) - offset
+        out = np.full((len(lengths), len(cols)), PAD_ID, dtype=np.int64)
+        # a boolean mask fills row by row, left to right: the order of `codes`
+        out[(cols >= 0) & (cols < lengths[:, None])] = self.codes
+        return out
+
+
+@dataclass(eq=False)
+class SentencePairs:
+    """An encoded split: pair i is sentence i of `source` and of `target`,
+    two `Sentences` holding vocabulary ids in place of codes.
+
+    `pairs[i]` is (source ids, target ids) as two lists of ints, a slice is
+    a `SentencePairs`, and iteration gives every pair in order.
+    """
+
+    source: Sentences
+    target: Sentences
+
+    def __post_init__(self):
+        if len(self.source) != len(self.target):
+            raise ValueError(f"{len(self.source)} source sentences but "
+                             f"{len(self.target)} target sentences")
+
+    @classmethod
+    def join(cls, pairs):
+        """SentencePairs from a list of (source ids, target ids)."""
+        return cls(Sentences.join([s for s, _ in pairs]), Sentences.join([t for _, t in pairs]))
+
+    def __len__(self):
+        return len(self.source)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.take(np.arange(len(self))[i])
+        return self.source[i], self.target[i]
+
+    def take(self, rows):
+        """The pairs at the integer array `rows`, in that order."""
+        return SentencePairs(self.source.take(rows), self.target.take(rows))
+
+    def __iter__(self):
+        return zip(self.source, self.target)
 
 
 @dataclass
@@ -101,21 +174,20 @@ class CodedCorpus:
     source_names: list
     target_names: list
 
-    def _pairs(self, split, src_table, tgt_table):
-        src, tgt = self.splits[split]
-        return list(zip(src.lists(src_table), tgt.lists(tgt_table)))
-
     def token_pairs(self, split):
         """(source tokens, target tokens) of every sentence pair of `split`."""
-        return self._pairs(split, np.array(self.source_names, dtype=object),
-                           np.array(self.target_names, dtype=object))
+        src, tgt = self.splits[split]
+        return list(zip(src.lists(np.array(self.source_names, dtype=object)),
+                        tgt.lists(np.array(self.target_names, dtype=object))))
 
     def encode(self, src_vocab, tgt_vocab):
-        """{split: [(source ids, target ids), ...]}. Each code's token is looked
-        up once; tokens outside a vocabulary become UNK_ID."""
+        """{split: SentencePairs}. Each code's token is looked up once;
+        tokens outside a vocabulary become UNK_ID."""
         src_table = np.array(src_vocab.encode(self.source_names), dtype=np.int64)
         tgt_table = np.array(tgt_vocab.encode(self.target_names), dtype=np.int64)
-        return {name: self._pairs(name, src_table, tgt_table) for name in self.splits}
+        return {name: SentencePairs(Sentences(src_table[src.codes], src.bounds),
+                                    Sentences(tgt_table[tgt.codes], tgt.bounds))
+                for name, (src, tgt) in self.splits.items()}
 
 
 def _reorder_index(src, window):
@@ -154,7 +226,7 @@ def generate_synthetic_corpus(spec):
         parts = []
         for _ in range(count):
             length = rng.integers(spec.len_min, spec.len_max + 1)
-            parts.append(rng.integers(0, spec.source_vocab_size, size=length))
+            parts.append(rng.integers(0, spec.source_vocab_size, size=int(length)))
         src = Sentences.join(parts)
         tgt = Sentences(mapping[src.codes[_reorder_index(src, spec.reorder_window)]], src.bounds)
         splits[name] = (src, tgt)
@@ -229,22 +301,27 @@ class ParallelBatch:
 
     `target_input` is BOS-prefixed, `target_output` EOS-suffixed; shifting one
     against the other aligns every non-pad position. Padding is always a row
-    suffix.
+    suffix. `ParallelBatch(src_ids, tgt_ids)` takes two lists of id
+    sequences; `make_batches` takes rows of a `SentencePairs`.
     """
 
     def __init__(self, src_ids, tgt_ids):
-        b = len(src_ids)
-        src_len = max(len(s) for s in src_ids)
-        tgt_len = max(len(t) for t in tgt_ids) + 1  # room for BOS/EOS
-        self.source = np.full((b, src_len), PAD_ID, dtype=np.int64)
-        self.target_input = np.full((b, tgt_len), PAD_ID, dtype=np.int64)
-        self.target_output = np.full((b, tgt_len), PAD_ID, dtype=np.int64)
-        for i, (s, t) in enumerate(zip(src_ids, tgt_ids)):
-            self.source[i, : len(s)] = s
-            self.target_input[i, 0] = BOS_ID
-            self.target_input[i, 1 : len(t) + 1] = t
-            self.target_output[i, : len(t)] = t
-            self.target_output[i, len(t)] = EOS_ID
+        self._pad(SentencePairs(Sentences.join(src_ids), Sentences.join(tgt_ids)))
+
+    @classmethod
+    def take(cls, pairs, rows):
+        """The batch of the pairs of a `SentencePairs` at the integer array `rows`."""
+        batch = cls.__new__(cls)
+        batch._pad(pairs.take(rows))
+        return batch
+
+    def _pad(self, pairs):
+        tgt = pairs.target
+        self.source = pairs.source.padded()
+        self.target_input = tgt.padded(offset=1)  # room for BOS
+        self.target_input[:, 0] = BOS_ID
+        self.target_output = tgt.padded(extra=1)  # room for EOS
+        self.target_output[np.arange(len(tgt)), tgt.lengths()] = EOS_ID
 
     @property
     def size(self):
@@ -252,14 +329,20 @@ class ParallelBatch:
 
 
 def make_batches(pairs, batch_size, rng):
-    """Shuffle pairs with the given rng (or seed) and cut into padded batches."""
+    """Shuffle the pairs of a split with the given rng (or seed) and cut them
+    into padded batches.
+
+    `pairs` is a `SentencePairs`, or a list of (source ids, target ids) that
+    is joined into one. The order is `rng.permutation(len(pairs))`, cut into
+    runs of `batch_size` (the last may be shorter); each batch is gathered
+    and padded from the flat id arrays.
+    """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
+    if not isinstance(pairs, SentencePairs):
+        pairs = SentencePairs.join(pairs)
     order = rng.permutation(len(pairs))
-    batches = []
-    for start in range(0, len(pairs), batch_size):
-        chunk = [pairs[i] for i in order[start : start + batch_size]]
-        batches.append(ParallelBatch([s for s, _ in chunk], [t for _, t in chunk]))
-    return batches
+    return [ParallelBatch.take(pairs, order[start : start + batch_size])
+            for start in range(0, len(order), batch_size)]

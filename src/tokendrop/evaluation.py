@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import Sentences
 from .dropping import droppable_positions, no_drop
 from .model import DecodeCache, decode, encode
 from .vocab import BOS_ID, EOS_ID, PAD_ID, UNK_ID
@@ -39,11 +40,7 @@ def greedy_decode_batch(sources, state, max_len):
     if not sources:
         return []
     b = len(sources)
-    src_len = max(len(s) for s in sources)
-    src = np.full((b, src_len), PAD_ID, dtype=np.int64)
-    for i, s in enumerate(sources):
-        src[i, : len(s)] = s
-    enc = encode(no_drop(src), state.params, cfg)
+    enc = encode(no_drop(Sentences.join(sources).padded()), state.params, cfg)
 
     cache = DecodeCache()
     ys = np.full((b, 1), BOS_ID, dtype=np.int64)

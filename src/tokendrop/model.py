@@ -124,8 +124,7 @@ class EncodedBatch:
 def _dropout(x, p, train, rng):
     if not train or p <= 0.0:
         return x
-    keep = (rng.random(x.data.shape) >= p) / (1.0 - p)
-    return ad.mul(x, keep)
+    return ad.dropout(x, rng.random(x.data.shape) >= p, p)
 
 
 def embed(table, batch, cfg, *, start=0, train=False, rng=None):

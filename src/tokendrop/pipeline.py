@@ -9,8 +9,8 @@ import os
 from dataclasses import dataclass
 
 from .config import dump_config
-from .data import (CodedCorpus, generate_synthetic_corpus, intern_corpus, load_parallel,
-                   write_parallel)
+from .data import (CodedCorpus, SentencePairs, generate_synthetic_corpus, intern_corpus,
+                   load_parallel, write_parallel)
 from .evaluation import corpus_bleu, greedy_decode_batch
 from .training import TrainState, checkpoint, run_training
 from .vocab import Vocabulary, build_vocabulary
@@ -24,11 +24,14 @@ VOCAB_TGT_NAME = "vocab.tgt"
 
 @dataclass
 class DataBundle:
+    """The vocabularies and the encoded splits of one corpus. Each split is a
+    `SentencePairs` of flat id arrays, which `make_batches` pads from."""
+
     src_vocab: Vocabulary
     tgt_vocab: Vocabulary
-    train: list  # encoded (source ids, target ids) pairs
-    valid: list
-    test: list
+    train: SentencePairs
+    valid: SentencePairs
+    test: SentencePairs
     corpus: CodedCorpus  # every split as token codes, for writing corpus files
 
 

@@ -84,7 +84,8 @@ class TrainState:
 
 
 class NonFiniteGradientError(RuntimeError):
-    """The global gradient norm is not finite; the step was not applied."""
+    """The global gradient norm is not finite; the step was not applied. The
+    message names the refused step, counted from 1 as records count steps."""
 
 
 def clip_gradients(grads, max_norm):
@@ -130,7 +131,8 @@ def train_step(batch, state):
     if not math.isfinite(report.grad_norm):
         for t in state.params.values():  # a later step must not accumulate onto these
             t.zero_grad()
-        raise NonFiniteGradientError(f"global gradient norm is non-finite: {report.grad_norm}")
+        raise NonFiniteGradientError(
+            f"step {state.step + 1}: global gradient norm is non-finite: {report.grad_norm}")
     state.step += 1
     lr = state.learning_rate(state.step)
     b1, b2, eps = tc.beta1, tc.beta2, tc.adam_eps
@@ -193,7 +195,8 @@ def _epoch_batches(pairs, epoch, train_cfg):
 def run_training(state, train_pairs, valid_pairs=None, log=None, on_record=None):
     """Train until max_steps, validating on the configured interval.
 
-    `train_pairs`/`valid_pairs` are encoded (source ids, target ids) lists.
+    `train_pairs`/`valid_pairs` are encoded splits (`data.SentencePairs`),
+    or lists of (source ids, target ids); `make_batches` batches either.
     Appends MetricsRecords to `log` (a RunLog) and returns it. Resuming from
     a restored state continues exactly where the step counter points.
 

@@ -508,6 +508,50 @@ class TestTapeKeepsOnlyWhatBackwardReads:
         np.testing.assert_array_equal(x.grad, 2.0 * c)
 
 
+class TestDropout:
+    @pytest.mark.parametrize("p", [0.1, 0.5])
+    def test_bitwise_equal_to_mul_by_the_scaled_mask(self, p):
+        rng = np.random.default_rng(3)
+        data = rng.normal(size=(5, 7, 8))
+        data[0, 0, :4] = [-1.5, -0.0, 0.0, -3e-300]  # negative inputs and signed zeros
+        keep = rng.random(data.shape) >= p
+        g = rng.normal(size=data.shape)
+        g[0, 0, :2] = -2.0  # a negative gradient where the mask drops
+        keep[0, 0, :2] = False
+        outs, grads = [], []
+        for op in (lambda x: ad.dropout(x, keep, p), lambda x: ad.mul(x, keep / (1 - p))):
+            x = t(data.copy(), grad=True)
+            with ad.GradTape():
+                y = op(x)
+                ad.backward(ad.tsum(ad.mul(y, g)))
+            outs.append(y.data.tobytes())
+            grads.append(x.grad.tobytes())
+        assert outs[0] == outs[1] and grads[0] == grads[1]
+        assert np.signbit(np.frombuffer(outs[0])[:2]).all()  # dropped -1.5 and -0.0 give -0.0
+
+    def test_tape_keeps_the_boolean_mask_not_a_float_array(self):
+        import tracemalloc
+        rng = np.random.default_rng(4)
+        x = t(rng.normal(size=(64, 32, 64)), grad=True)  # 1 MiB of float64
+        keep = rng.random(x.shape) >= 0.1
+        tracemalloc.start()
+        try:
+            with ad.GradTape() as tape:
+                y = ad.dropout(x, keep, 0.1)
+                ref = weakref.ref(y.data)
+                del y
+                kept = tracemalloc.get_traced_memory()[0]
+                assert ref() is None and len(tape.entries) == 1
+        finally:
+            tracemalloc.stop()
+        # the output is freed and the closure holds the caller's mask: nothing
+        # near the 1 MiB a float64 mask would take stays allocated
+        assert kept < x.data.nbytes // 8
+        cells = [c.cell_contents for c in tape.entries[0].backward_fn.__closure__]
+        arrays = [c for c in cells if isinstance(c, np.ndarray)]
+        assert len(arrays) == 1 and arrays[0] is keep
+
+
 class TestGradCheck:
     def test_sum_of_squares(self):
         def f(x):

@@ -184,4 +184,4 @@ def test_non_finite_gradient_exits_2(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(ad, "backward", backward)
     assert main(["train", "--out", str(tmp_path / "run"), *sets(TINY)]) == 2
-    assert "error: global gradient norm is non-finite: nan" in capsys.readouterr().err
+    assert "error: step 1: global gradient norm is non-finite: nan" in capsys.readouterr().err

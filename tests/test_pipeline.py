@@ -57,7 +57,7 @@ def test_prepare_data_builds_vocabularies_from_the_training_split(tmp_path):
 
 
 # sha256 (first 16 hex digits) of the JSON of src_vocab.id_to_token,
-# tgt_vocab.id_to_token, train, valid and test. A change to the generator's
+# tgt_vocab.id_to_token, and the pairs of train, valid and test as lists. A change to the generator's
 # draw order (see the tokendrop.data docstring), the mapping, the reordering,
 # the vocabulary ranking or the encoding changes them.
 BUNDLE_DIGESTS = {
@@ -86,7 +86,7 @@ def digest(obj):
 def test_synthetic_bundle_is_pinned(overrides):
     bundle = pipeline.prepare_data(load_config(None, overrides))
     parts = (bundle.src_vocab.id_to_token, bundle.tgt_vocab.id_to_token,
-             bundle.train, bundle.valid, bundle.test)
+             list(bundle.train), list(bundle.valid), list(bundle.test))
     assert tuple(digest(p) for p in parts) == BUNDLE_DIGESTS[overrides]
     if overrides == ("data.max_vocab=100",):
         assert any(UNK_ID in src for src, _ in bundle.train)
@@ -96,7 +96,7 @@ def test_empty_valid_and_test_splits_still_prepare_and_train(tmp_path):
     out = tmp_path / "run"
     _, bundle, log = pipeline.train_run(
         load_config(None, [*TINY, "task.n_valid=0", "task.n_test=0"]), str(out))
-    assert (len(bundle.train), bundle.valid, bundle.test) == (24, [], [])
+    assert (len(bundle.train), len(bundle.valid), len(bundle.test)) == (24, 0, 0)
     assert log.records[-1]["valid_ppl"] is None
     assert (out / "data" / "valid.src").read_text() == (out / "data" / "test.tgt").read_text() == ""
     assert len((out / "data" / "train.src").read_text().splitlines()) == 24

@@ -179,6 +179,23 @@ class TestNonFiniteGradient:
         # nothing left behind for the next step's backward to accumulate onto
         assert all(t.grad is None for t in state.params.values())
 
+    def test_error_names_the_refused_step(self, monkeypatch):
+        state, train, _ = small_setup(max_steps=5)
+        real_backward = ad.backward
+        calls = []
+
+        def backward(loss, params=None):
+            real_backward(loss, params)
+            calls.append(None)
+            if len(calls) == 3:
+                params[0].grad.flat[0] = np.nan
+
+        monkeypatch.setattr(ad, "backward", backward)
+        with pytest.raises(NonFiniteGradientError,
+                           match=r"^step 3: global gradient norm is non-finite: nan$"):
+            run_training(state, train)
+        assert state.step == 2  # steps 1 and 2 were applied, step 3 was not
+
 
 class TestValidate:
     def test_untrained_perplexity_near_vocab_size(self):

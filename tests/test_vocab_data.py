@@ -170,7 +170,8 @@ class TestSyntheticCorpus:
         corpus = dt.generate_synthetic_corpus(self.spec(n_valid=0, n_test=0))
         encoded = corpus.encode(vb.Vocabulary(corpus.source_names),
                                 vb.Vocabulary(corpus.target_names))
-        assert encoded["valid"] == encoded["test"] == [] and len(encoded["train"]) == 50
+        assert list(encoded["valid"]) == list(encoded["test"]) == []
+        assert len(encoded["train"]) == 50
         assert corpus.token_pairs("valid") == []
 
 
@@ -192,8 +193,8 @@ class TestInternCorpus:
     def test_encode_maps_unknown_tokens_to_unk(self):
         corpus = dt.intern_corpus(self.PAIRS)
         encoded = corpus.encode(vb.Vocabulary(["d", "a"]), vb.Vocabulary(["z", "x", "y"]))
-        assert encoded["train"] == [([6, vb.UNK_ID, 6], [6]), ([vb.UNK_ID], [7, 6])]
-        assert encoded["test"] == [([5, 6], [5])]
+        assert list(encoded["train"]) == [([6, vb.UNK_ID, 6], [6]), ([vb.UNK_ID], [7, 6])]
+        assert list(encoded["test"]) == [([5, 6], [5])]
         assert all(type(i) is int for s, t in encoded["train"] for i in s + t)
 
 
@@ -250,6 +251,98 @@ class TestLoadParallel:
         message = f"line 2 of {tmp_path / f'x.{side}'} holds the reserved token {token}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             dt.load_parallel(tmp_path / "x.src", tmp_path / "x.tgt")
+
+
+def reference_batch(src_ids, tgt_ids):
+    """(source, target_input, target_output) padded one row at a time."""
+    b = len(src_ids)
+    src_len = max(len(s) for s in src_ids)
+    tgt_len = max(len(t) for t in tgt_ids) + 1
+    source = np.full((b, src_len), vb.PAD_ID, dtype=np.int64)
+    target_input = np.full((b, tgt_len), vb.PAD_ID, dtype=np.int64)
+    target_output = np.full((b, tgt_len), vb.PAD_ID, dtype=np.int64)
+    for i, (s, t) in enumerate(zip(src_ids, tgt_ids)):
+        source[i, : len(s)] = s
+        target_input[i, 0] = vb.BOS_ID
+        target_input[i, 1 : len(t) + 1] = t
+        target_output[i, : len(t)] = t
+        target_output[i, len(t)] = vb.EOS_ID
+    return source, target_input, target_output
+
+
+def assert_batch_is(batch, expected):
+    for got, want in zip((batch.source, batch.target_input, batch.target_output), expected):
+        assert got.dtype == want.dtype == np.int64 and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+
+class TestSentencePairs:
+    PAIRS = [([5, 6, 7], [8]), ([9], [10, 11]), ([12, 13], [14, 15, 16, 17])]
+
+    def split(self):
+        return dt.SentencePairs.join(self.PAIRS)
+
+    def test_index_length_and_iteration(self):
+        split = self.split()
+        assert len(split) == 3 and split[1] == ([9], [10, 11]) and split[-1] == self.PAIRS[2]
+        assert list(split) == self.PAIRS
+        assert all(type(i) is int for s, t in split for i in s + t)
+        with pytest.raises(IndexError):
+            split[3]
+
+    @pytest.mark.parametrize("cut", [slice(None, 2), slice(1, None), slice(None, None, -2),
+                                     slice(2, 2)])
+    def test_slice_is_a_split(self, cut):
+        part = self.split()[cut]
+        assert isinstance(part, dt.SentencePairs) and list(part) == self.PAIRS[cut]
+
+    def test_sides_must_agree_in_length(self):
+        with pytest.raises(ValueError, match="2 source sentences but 1 target sentences"):
+            dt.SentencePairs(dt.Sentences.join([[5], [6]]), dt.Sentences.join([[7]]))
+
+    def test_encode_gives_splits_of_ids(self):
+        corpus = dt.intern_corpus({"train": [(["a", "b"], ["x"])]})
+        split = corpus.encode(vb.Vocabulary(["b", "a"]), vb.Vocabulary(["x"]))["train"]
+        assert isinstance(split, dt.SentencePairs) and split[0] == ([6, 5], [5])
+
+
+class TestPaddingMatchesRowLoop:
+    """`make_batches` and `ParallelBatch` pad through `Sentences.padded`; the
+    row loop of `reference_batch` is the specification."""
+
+    @staticmethod
+    def ragged(n, seed):
+        rng = np.random.default_rng(seed)
+        lengths = rng.integers(1, 9, size=(n, 2))
+        lengths[::4] = 1  # 1-token sentences on both sides
+        return [(rng.integers(5, 50, size=a).tolist(), rng.integers(5, 50, size=b).tolist())
+                for a, b in lengths]
+
+    @pytest.mark.parametrize("n, batch_size", [(23, 5), (7, 7), (5, 16), (1, 1), (12, 4)])
+    def test_make_batches_on_a_split(self, n, batch_size):
+        pairs = self.ragged(n, n)
+        batches = dt.make_batches(dt.SentencePairs.join(pairs), batch_size, 3)
+        order = np.random.default_rng(3).permutation(n)
+        assert [b.size for b in batches] == [len(order[i : i + batch_size])
+                                             for i in range(0, n, batch_size)]
+        for k, batch in enumerate(batches):
+            rows = order[k * batch_size : (k + 1) * batch_size]
+            assert_batch_is(batch, reference_batch([pairs[i][0] for i in rows],
+                                                   [pairs[i][1] for i in rows]))
+
+    def test_list_of_pairs_batches_as_its_split(self):
+        pairs = self.ragged(17, 1)
+        for a, b in zip(dt.make_batches(pairs, 4, 9),
+                        dt.make_batches(dt.SentencePairs.join(pairs), 4, 9)):
+            assert_batch_is(a, (b.source, b.target_input, b.target_output))
+
+    def test_parallel_batch_from_lists(self):
+        pairs = self.ragged(9, 2)
+        src, tgt = [s for s, _ in pairs], [t for _, t in pairs]
+        assert_batch_is(dt.ParallelBatch(src, tgt), reference_batch(src, tgt))
+        # numpy rows, as a caller may hold them
+        rows = [np.asarray(s) for s in src]
+        assert_batch_is(dt.ParallelBatch(rows, tgt), reference_batch(src, tgt))
 
 
 class TestBatching:

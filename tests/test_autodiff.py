@@ -2,6 +2,7 @@ import ctypes
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 
@@ -530,7 +531,6 @@ class TestDropout:
         assert np.signbit(np.frombuffer(outs[0])[:2]).all()  # dropped -1.5 and -0.0 give -0.0
 
     def test_tape_keeps_the_boolean_mask_not_a_float_array(self):
-        import tracemalloc
         rng = np.random.default_rng(4)
         x = t(rng.normal(size=(64, 32, 64)), grad=True)  # 1 MiB of float64
         keep = rng.random(x.shape) >= 0.1

@@ -1,6 +1,6 @@
 """Token-drop regularized encoder-decoder translation training kit."""
 
-from .autodiff import GradTape, Tensor, backward, grad_check
+from .autodiff import GradTape, Tensor, backward
 from .config import RunConfig, load_config
 from .data import ParallelBatch, SyntheticTaskSpec, generate_synthetic_corpus, make_batches
 from .dropping import DropConfig, corrupt, drop_records, sample_mask
@@ -10,7 +10,7 @@ from .objectives import LossReport, ObjectiveConfig
 from .training import TrainConfig, TrainState, checkpoint, restore, run_training, train_step
 
 __all__ = [
-    "GradTape", "Tensor", "backward", "grad_check",
+    "GradTape", "Tensor", "backward",
     "RunConfig", "load_config",
     "ParallelBatch", "SyntheticTaskSpec", "generate_synthetic_corpus", "make_batches",
     "DropConfig", "corrupt", "drop_records", "sample_mask",

@@ -3,10 +3,10 @@
 Implements exactly the operation set the translation model needs: elementwise
 arithmetic with broadcasting, matmul (optionally batched), softmax, log,
 sigmoid, relu, dropout, reshape/transpose, reductions, embedding lookup,
-position gathering, and two fused ops: the masked attention core and a
-token-level cross entropy. Operations executed while a GradTape is active
-are recorded; replaying the tape in reverse accumulates gradients into every
-tensor that influenced the loss.
+position gathering, and three fused ops: the masked attention core, layer
+norm's normalize-and-scale and a token-level cross entropy. Operations
+executed while a GradTape is active are recorded; replaying the tape in
+reverse accumulates gradients into every tensor that influenced the loss.
 
 A tape entry holds the gradient slots (`_Node`) of its inputs and output,
 not the tensors, and a backward closure over only the arrays that backward
@@ -18,10 +18,13 @@ the model code drops it. What each op keeps:
   gets `None`, which `backward` skips.
 - `relu`: its output, not its input.
 - `dropout`: its boolean keep mask and the scale.
-- `power`, `log`, `clip`: their input or a mask of it; `sigmoid` and
-  `softmax` their output; `matmul` both operands; `attention` q, k, v and
-  the probabilities; `embedding` the table; `take_positions` its input;
+- `log`, `clip`: their input or a mask of it; `sigmoid` and `softmax`
+  their output; `matmul` both operands; `attention` q, k, v and the
+  probabilities; `embedding` the table; `take_positions` its input;
   `cross_entropy` the log-probabilities.
+- `layer_norm`: its centering keeps nothing; its fused normalize-and-scale
+  keeps the centered input, two per-row factors and the gain, not the
+  normalized output.
 """
 
 from __future__ import annotations
@@ -283,15 +286,6 @@ def dropout(x, keep, p):
     return out
 
 
-def power(a, exponent):
-    """Elementwise a**exponent for a constant scalar exponent."""
-    a = _as_tensor(a)
-    x, e = a.data, float(exponent)
-    out = Tensor(x**e)
-    _record((a,), out, lambda g: (g * e * x ** (e - 1.0),))
-    return out
-
-
 def log(a):
     a = _as_tensor(a)
     x = a.data
@@ -464,17 +458,54 @@ def attention(q, k, v, key_pad, causal):
     return out
 
 
+def _normalize_scale(c, gain, eps):
+    """`c·(mean(c²) + eps)^-0.5·gain` over the last axis of a centered `c`.
+
+    One tape entry for the chain `mul`, `tmean`, `add`, a -0.5 power, `mul`
+    and `mul` that `layer_norm` would otherwise record, with the same
+    arithmetic in the same order, forward and backward, so it rounds as that
+    chain does. It keeps `c`, the row factors `inv` and `var + eps`, and
+    `gain`; the normalized `c·inv` is made again in backward, not kept.
+    """
+    cd, gd = c.data, gain.data
+    rn = 1.0 / cd.shape[-1]
+    ve = (cd * cd).sum(axis=-1, keepdims=True) * rn + eps
+    inv = ve**-0.5
+    y = cd * inv
+    y *= gd
+    out = Tensor(y)
+    want_c, want_gain = c.requires_grad, gain.requires_grad
+
+    def backward_fn(g):
+        gc = ggain = None
+        if want_c:
+            g_cn = g * gd
+            gc = g_cn * inv
+            g_inv = (g_cn * cd).sum(axis=-1, keepdims=True)
+            g_sq = g_inv * -0.5 * ve**-1.5 * rn  # through the power, then the mean
+            g_sq = g_sq * cd  # c·c hands this to each of its two sides
+            gc += g_sq
+            gc += g_sq
+        if want_gain:
+            ggain = _unbroadcast(g * (cd * inv), gd.shape)
+        return (gc, ggain)
+
+    _record((c, gain), out, backward_fn)
+    return out
+
+
 def layer_norm(x, gain, bias, eps=1e-5):
-    """Normalize the last axis to mean 0 / variance 1, then scale and shift."""
+    """Normalize the last axis to mean 0 / variance 1, then scale and shift.
+
+    Five tape entries: the centering `sub(x, tmean(x))` (three), the fused
+    `_normalize_scale` and the `add` of `bias`.
+    """
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError(f"layer_norm gain/bias must have shape ({d},), got {gain.data.shape} and {bias.data.shape}")
-    mu = tmean(x, axis=-1, keepdims=True)
-    centered = sub(x, mu)
-    var = tmean(mul(centered, centered), axis=-1, keepdims=True)
-    inv = power(add(var, eps), -0.5)
-    return add(mul(mul(centered, inv), gain), bias)
+    centered = sub(x, tmean(x, axis=-1, keepdims=True))
+    return add(_normalize_scale(centered, gain, eps), bias)
 
 
 def embedding(table, ids):
@@ -540,9 +571,8 @@ def cross_entropy(logits, targets, ignore_id=None):
         return out
 
     m = logits.data.max(axis=1, keepdims=True)
-    shifted = logits.data - m
-    logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_probs = shifted - logz
+    log_probs = logits.data - m
+    log_probs -= np.log(np.exp(log_probs).sum(axis=1, keepdims=True))
     safe_targets = np.where(valid, targets, 0)
     nll = -log_probs[np.arange(n), safe_targets]
     loss = nll[valid].sum() / count
@@ -550,8 +580,7 @@ def cross_entropy(logits, targets, ignore_id=None):
     out.token_count = count
 
     def backward_fn(g):
-        probs = np.exp(log_probs)
-        grad = probs.copy()
+        grad = np.exp(log_probs)
         grad[np.arange(n), safe_targets] -= 1.0
         grad *= (valid[:, None] * (float(g) / count))
         return (grad,)
@@ -589,30 +618,3 @@ def backward(loss, params=None):
         for p in params:
             if p.grad is None:
                 p.grad = np.zeros_like(p.data)
-
-
-def grad_check(f, x, eps=1e-6):
-    """Max relative error between analytic and central-difference gradients.
-
-    `f` must be a deterministic scalar-valued function of one Tensor.
-    """
-    x_check = Tensor(x.data.copy(), requires_grad=True)
-    with GradTape():
-        loss = f(x_check)
-        backward(loss, params=[x_check])
-    analytic = x_check.grad.copy()
-
-    numeric = np.zeros_like(x_check.data)
-    flat = x_check.data.reshape(-1)
-    nflat = numeric.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        up = float(f(x_check).data)
-        flat[i] = orig - eps
-        dn = float(f(x_check).data)
-        flat[i] = orig
-        nflat[i] = (up - dn) / (2.0 * eps)
-
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    return float(np.max(np.abs(analytic - numeric) / denom))

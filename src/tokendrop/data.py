@@ -2,8 +2,9 @@
 
 A corpus is held as integer token codes (`CodedCorpus`, `Sentences`) and
 encoded to vocabulary ids through one lookup table per side. An encoded split
-(`SentencePairs`) keeps the ids as flat arrays, and `make_batches` pads its
-batches from them; no sentence becomes a Python list on the way to a batch.
+(`SentencePairs`) keeps the ids as flat arrays, and `make_batches` pads each
+batch from them when it is read; no sentence becomes a Python list on the way
+to a batch.
 Token strings are made only where a corpus is written to disk
 (`CodedCorpus.token_pairs`).
 
@@ -328,9 +329,34 @@ class ParallelBatch:
         return self.source.shape[0]
 
 
+class Batches:
+    """The batches of one shuffled split, each padded only when it is read.
+
+    Holds the split and the row block of each batch. `batches[k]` pads batch
+    k through `ParallelBatch.take`, every time it is read; a slice is a
+    `Batches` of those blocks, and iteration pads one batch at a time, as
+    often as it is repeated.
+    """
+
+    def __init__(self, pairs, blocks):
+        self.pairs = pairs
+        self.blocks = blocks
+
+    def __len__(self):
+        return len(self.blocks)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return Batches(self.pairs, self.blocks[k])
+        return ParallelBatch.take(self.pairs, self.blocks[k])
+
+    def __iter__(self):
+        return (ParallelBatch.take(self.pairs, rows) for rows in self.blocks)
+
+
 def make_batches(pairs, batch_size, rng):
     """Shuffle the pairs of a split with the given rng (or seed) and cut them
-    into padded batches.
+    into batches, padded as they are read (see `Batches`).
 
     `pairs` is a `SentencePairs`, or a list of (source ids, target ids) that
     is joined into one. The order is `rng.permutation(len(pairs))`, cut into
@@ -344,5 +370,5 @@ def make_batches(pairs, batch_size, rng):
     if not isinstance(pairs, SentencePairs):
         pairs = SentencePairs.join(pairs)
     order = rng.permutation(len(pairs))
-    return [ParallelBatch.take(pairs, order[start : start + batch_size])
-            for start in range(0, len(order), batch_size)]
+    return Batches(pairs, [order[start : start + batch_size]
+                           for start in range(0, len(order), batch_size)])

@@ -110,8 +110,10 @@ def train_step(batch, state):
 
     with ad.GradTape():
         enc = encode(src, state.params, cfg, train=True, rng=state.dropout_rng)
-        logits = decode(tgt_in, enc, state.params, cfg, train=True, rng=state.dropout_rng)
-        l_m = translation_loss(logits, batch.target_output, PAD_ID)
+        # the logits go with the call: the loss's tape entry keeps what it needs
+        l_m = translation_loss(decode(tgt_in, enc, state.params, cfg, train=True,
+                                      rng=state.dropout_rng),
+                               batch.target_output, PAD_ID)
         if obj.alpha > 0:
             l_rtd = rtd_loss(rtd_head(enc, state.params), src.mask, src.droppable)
         else:

@@ -12,6 +12,8 @@ from tokendrop.dropping import (DROP_TAG, UNK_TAG, ZERO_OUT, CorruptedBatch, Dro
                                 corrupt_ids, drop_records, no_drop)
 from tokendrop.vocab import BOS_ID, EOS_ID, PAD_ID, UNK_ID
 
+from gradcheck import grad_check
+
 
 def tiny_cfg(**kw):
     base = dict(d_model=4, d_ffn=8, n_layers=1, n_heads=1,
@@ -351,5 +353,5 @@ class TestFullLossGradient:
                 finally:
                     params[name] = saved
 
-            worst = max(worst, ad.grad_check(f, tensor, eps=1e-6))
+            worst = max(worst, grad_check(f, tensor, eps=1e-6))
         assert worst < 1e-4

@@ -8,7 +8,8 @@ import pytest
 from tokendrop import autodiff as ad
 from tokendrop import training
 from tokendrop.config import load_config
-from tokendrop.data import SyntheticTaskSpec, generate_synthetic_corpus, make_batches
+from tokendrop.data import (ParallelBatch, SyntheticTaskSpec, generate_synthetic_corpus,
+                            make_batches)
 from tokendrop.dropping import DropConfig
 from tokendrop.model import ModelConfig
 from tokendrop.objectives import ObjectiveConfig
@@ -384,6 +385,19 @@ class TestCheckpoint:
         resumed.train_cfg.max_steps = 13
         run_training(resumed, train2, None)
         assert states_equal(full, resumed)
+
+    def test_resumed_run_pads_only_the_batches_it_runs(self, monkeypatch):
+        state, train, _ = small_setup(max_steps=3)  # 13 batches of 16 per epoch
+        run_training(state, train)
+        padded = []
+        real = ParallelBatch.take
+        monkeypatch.setattr(ParallelBatch, "take",
+                            staticmethod(lambda pairs, rows: padded.append(rows) or real(pairs, rows)))
+        state.train_cfg.max_steps = 5
+        run_training(state, train)
+        blocks = training._epoch_batches(train, 0, state.train_cfg).blocks
+        assert len(blocks) == 13 and len(padded) == 2
+        assert all(np.array_equal(a, b) for a, b in zip(padded, blocks[3:5]))
 
     def test_corrupted_header_rejected(self, tmp_path):
         path = tmp_path / "bad.npz"

@@ -336,6 +336,37 @@ class TestPaddingMatchesRowLoop:
                         dt.make_batches(dt.SentencePairs.join(pairs), 4, 9)):
             assert_batch_is(a, (b.source, b.target_input, b.target_output))
 
+    def test_making_the_batches_pads_nothing(self, monkeypatch):
+        padded = []
+        real = dt.ParallelBatch.take
+        monkeypatch.setattr(dt.ParallelBatch, "take",
+                            staticmethod(lambda pairs, rows: padded.append(rows) or real(pairs, rows)))
+        batches = dt.make_batches(dt.SentencePairs.join(self.ragged(23, 4)), 5, 3)
+        tail = batches[2:]
+        assert len(batches) == 5 and len(tail) == 3 and padded == []
+        assert tail[0].size == 5 and len(padded) == 1
+
+    def test_index_slice_and_repeated_iteration_pad_as_the_row_loop(self):
+        n, batch_size = 23, 5
+        pairs = self.ragged(n, 5)
+        batches = dt.make_batches(dt.SentencePairs.join(pairs), batch_size, 3)
+        order = np.random.default_rng(3).permutation(n)
+        expected = [reference_batch([pairs[i][0] for i in rows], [pairs[i][1] for i in rows])
+                    for rows in (order[k : k + batch_size] for k in range(0, n, batch_size))]
+        assert len(batches) == len(expected) == 5
+        assert_batch_is(batches[1], expected[1])
+        assert_batch_is(batches[-1], expected[-1])
+        tail = batches[1:4]
+        assert isinstance(tail, type(batches)) and len(tail) == 3
+        for got, want in zip(tail, expected[1:4]):
+            assert_batch_is(got, want)
+        assert_batch_is(tail[-1], expected[3])
+        for _ in range(2):
+            got = list(batches)
+            assert len(got) == len(expected)
+            for batch, want in zip(got, expected):
+                assert_batch_is(batch, want)
+
     def test_parallel_batch_from_lists(self):
         pairs = self.ragged(9, 2)
         src, tgt = [s for s, _ in pairs], [t for _, t in pairs]

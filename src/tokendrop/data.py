@@ -15,16 +15,30 @@ corpus is defined by that order. Changing it, or the number or kind of draws,
 changes every later sentence, and with them every pinned bundle digest in
 tests/test_pipeline.py and the trained fixture of the `robustness` benchmark
 workload.
+
+The draws are those of `rng.integers(len_min, len_max + 1)` and then
+`rng.integers(0, source_vocab_size, size=length)` on
+`rng = np.random.default_rng(seed)`, but they are computed from the bit
+generator's stream itself (`_draw_sentences`): the 32-bit words of PCG64's
+raw 64-bit outputs, low half first, each range drawn by Lemire's
+multiply-and-reject rule, and a range of size 1 drawing no word. Numpy keeps
+bit-generator streams stable across versions, but not how `Generator`
+methods use them (NEP 19), so the corpus rests only on the stream. Numpy
+draws from a range of 2**32 or more by another rule, and `SyntheticTaskSpec`
+rejects such ranges.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .vocab import BOS_ID, EOS_ID, PAD_ID, SPECIAL_TOKENS, tokenize
+
+_WORD = 1 << 32  # numpy draws an integer from a range below 2**32 from 32-bit words
 
 
 @dataclass
@@ -49,6 +63,11 @@ class SyntheticTaskSpec:
                             ("source_vocab_size", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        # the corpus is drawn by numpy's rule for ranges below 2**32 (module docstring)
+        for name, size in (("source_vocab_size", self.source_vocab_size),
+                           ("len_max - len_min + 1", self.len_max - self.len_min + 1)):
+            if size >= _WORD:
+                raise ValueError(f"{name} must be below 2**32, got {size}")
         if self.target_vocab_size < self.source_vocab_size:
             raise ValueError("target vocabulary must be at least as large as the source "
                              "for the token mapping to be injective")
@@ -210,6 +229,91 @@ def _reorder_index(src, window):
     return np.repeat(starts, sizes) + offset
 
 
+def _lemire(words, r):
+    """Numpy's draw from range(r), 1 <= r < 2**32, tried on every 32-bit word
+    (Lemire, arXiv 1805.10941): (values, accepted). The value of word w is
+    w*r >> 32; the word is rejected, and the next one tried, while
+    w*r mod 2**32 < (2**32 - r) mod r."""
+    m = words * np.uint64(r)
+    accepted = m.astype(np.uint32) >= (_WORD - r) % r  # the cast keeps w*r mod 2**32
+    m >>= 32
+    return m.view(np.int64), accepted  # every value is below 2**32
+
+
+def _sentences_in(raw, count, len_min, len_range, vocab_size):
+    """(lengths, flat codes) of `count` sentences drawn from the raw 64-bit
+    outputs `raw`, as `_draw_sentences` defines them, or None if the words
+    run out first."""
+    words = np.empty(2 * len(raw), dtype=np.uint64)
+    words[0::2] = raw & (_WORD - 1)  # little-endian: the low half is drawn first
+    words[1::2] = raw >> 32
+    n = len(words)
+    # the rejected words of each draw, in order, then a word no walk reaches
+    len_rejected = [*np.flatnonzero(~_lemire(words, len_range)[1]).tolist(), math.inf]
+    values, accepted = _lemire(words, vocab_size)
+    tok_rejected = [*np.flatnonzero(~accepted).tolist(), math.inf]
+    lengths, length_words = [], []  # length_words: every word a length draw took
+    p = a = t = 0  # the next word, and the next rejected length and token words
+    for _ in range(count):
+        if len_range > 1:  # a range of size 1 takes no word
+            while len_rejected[a] < p:
+                a += 1
+            while len_rejected[a] == p:
+                length_words.append(p)
+                a += 1
+                p += 1
+            if p == n:
+                return None
+            lengths.append(len_min + (words.item(p) * len_range >> 32))
+            length_words.append(p)
+            p += 1
+        else:
+            lengths.append(len_min)
+        if vocab_size > 1:
+            while tok_rejected[t] < p:
+                t += 1
+            end = p + lengths[-1]
+            while tok_rejected[t] < end:
+                end += 1
+                t += 1
+            if end > n:
+                return None
+            p = end
+    lengths = np.array(lengths, dtype=np.int64)
+    if vocab_size == 1:
+        return lengths, np.zeros(lengths.sum(), dtype=np.int64)
+    tokens = accepted[:p]  # the words before p that no length draw took
+    tokens[length_words] = False
+    return lengths, values[:p][tokens]
+
+
+def _draw_sentences(bits, count, len_min, len_max, vocab_size):
+    """(lengths, flat codes) of `count` sentences: exactly what the calls
+    `rng.integers(len_min, len_max + 1)` and then
+    `rng.integers(0, vocab_size, size=length)`, per sentence, give on
+    `rng = np.random.Generator(bits)` for a fresh PCG64 `bits`.
+
+    Numpy draws each of these integers from the next 32-bit words of the bit
+    generator's raw 64-bit outputs, low half first, by Lemire's rule
+    (`_lemire`); a range of size 1 takes no word. So the words are drawn in
+    bulk, every rejection test and token value is computed for all of them
+    at once, and the one loop walks the sentences: a length word after any
+    rejected ones, then `length` accepted token words. Where the words run
+    out, more are drawn and the walk starts again.
+    """
+    len_range = len_max - len_min + 1
+    for name, r in (("length range", len_range), ("vocab_size", vocab_size)):
+        if not 1 <= r < _WORD:
+            raise ValueError(f"{name} must lie in [1, 2**32), got {r}")
+    # words for the mean length (two to a raw output), plus a margin that the
+    # sum of `count` lengths rarely exceeds
+    per_sentence = (len_range > 1) + (vocab_size > 1) * (len_min + len_max) / 2
+    raw = bits.random_raw(int(count * per_sentence / 2 + count ** 0.5 * len_range) + 32)
+    while (drawn := _sentences_in(raw, count, len_min, len_range, vocab_size)) is None:
+        raw = np.concatenate((raw, bits.random_raw(len(raw))))
+    return drawn
+
+
 def generate_synthetic_corpus(spec):
     """Generate the train, valid and test splits of the task as a CodedCorpus.
 
@@ -218,19 +322,24 @@ def generate_synthetic_corpus(spec):
     one token draw from a generator seeded with `spec.seed`, train first,
     then valid, then test; the same spec always regenerates the identical
     corpus. Changing that order or the number of draws changes every later
-    sentence (see the module docstring).
+    sentence (see the module docstring). The draws are computed in bulk from
+    PCG64's 32-bit words, low half of each 64-bit output first, by Lemire's
+    rule (`_draw_sentences`), and so equal those of `Generator.integers`
+    without depending on how it is written.
     """
-    rng = np.random.default_rng(spec.seed)
+    counts = (("train", spec.n_train), ("valid", spec.n_valid), ("test", spec.n_test))
+    lengths, codes = _draw_sentences(np.random.default_rng(spec.seed).bit_generator,
+                                     sum(c for _, c in counts), spec.len_min, spec.len_max,
+                                     spec.source_vocab_size)
+    bounds = np.concatenate(([0], np.cumsum(lengths)))
     mapping = token_mapping(spec)
-    splits = {}
-    for name, count in (("train", spec.n_train), ("valid", spec.n_valid), ("test", spec.n_test)):
-        parts = []
-        for _ in range(count):
-            length = rng.integers(spec.len_min, spec.len_max + 1)
-            parts.append(rng.integers(0, spec.source_vocab_size, size=int(length)))
-        src = Sentences.join(parts)
+    splits, first = {}, 0
+    for name, count in counts:
+        b = bounds[first : first + count + 1]
+        src = Sentences(codes[b[0] : b[-1]], b - b[0])
         tgt = Sentences(mapping[src.codes[_reorder_index(src, spec.reorder_window)]], src.bounds)
         splits[name] = (src, tgt)
+        first += count
     source_names = _names("a", spec.source_vocab_size)
     target_names = source_names if spec.identity_mapping else _names("b", spec.target_vocab_size)
     return CodedCorpus(splits, source_names, target_names)

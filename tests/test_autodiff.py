@@ -736,11 +736,13 @@ class TestGradCheck:
         assert err < 1e-4
 
 
-@pytest.mark.parametrize("op_name", ["add", "sub", "mul", "matmul", "softmax",
-                                     "layer_norm", "relu", "sigmoid", "log",
-                                     "transpose", "embedding"])
+GRAD_CHECK_OPS = ["add", "sub", "mul", "matmul", "softmax", "layer_norm", "relu", "sigmoid",
+                  "log", "transpose", "embedding"]
+
+
+@pytest.mark.parametrize("op_name", GRAD_CHECK_OPS)
 def test_grad_check_every_op_small_shapes(op_name):
-    rng = np.random.default_rng(hash(op_name) % 2**32)
+    rng = np.random.default_rng(GRAD_CHECK_OPS.index(op_name))  # the same inputs every run
     other = rng.normal(size=(5, 7))
     mat = rng.normal(size=(7, 4))
     gain = rng.normal(size=7)

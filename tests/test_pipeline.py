@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import tracemalloc
 
 import pytest
 
@@ -90,6 +91,24 @@ def test_synthetic_bundle_is_pinned(overrides):
     assert tuple(digest(p) for p in parts) == BUNDLE_DIGESTS[overrides]
     if overrides == ("data.max_vocab=100",):
         assert any(UNK_ID in src for src, _ in bundle.train)
+
+
+# tracemalloc peak of a warm `prepare_data` at 24-48 tokens while the corpus
+# was drawn by per-sentence `rng.integers` calls; the bulk draw's words and
+# masks must not raise it (they measured 17,098,293 bytes)
+PREPARE_PEAK_BYTES = 20_713_261
+
+
+def test_prepare_data_peak_memory_does_not_rise():
+    cfg = load_config(None, ["task.len_min=24", "task.len_max=48"])
+    pipeline.prepare_data(cfg)  # one-time allocations stay out of the measure
+    tracemalloc.start()
+    try:
+        pipeline.prepare_data(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PREPARE_PEAK_BYTES
 
 
 def test_empty_valid_and_test_splits_still_prepare_and_train(tmp_path):

@@ -175,6 +175,144 @@ class TestSyntheticCorpus:
         assert corpus.token_pairs("valid") == []
 
 
+def reference_draws(rng, count, len_min, len_max, vocab_size):
+    """(lengths, flat codes) of `count` sentences drawn the way the corpus is
+    defined: one `rng.integers` call for the length, then one for the tokens."""
+    lengths, parts = [], [np.zeros(0, dtype=np.int64)]
+    for _ in range(count):
+        lengths.append(int(rng.integers(len_min, len_max + 1)))
+        parts.append(rng.integers(0, vocab_size, size=lengths[-1]))
+    return np.array(lengths, dtype=np.int64), np.concatenate(parts)
+
+
+def reference_sources(spec):
+    """{split: (codes, bounds)} of the source side, from `reference_draws`."""
+    rng = np.random.default_rng(spec.seed)
+    out = {}
+    for name, count in (("train", spec.n_train), ("valid", spec.n_valid), ("test", spec.n_test)):
+        lengths, codes = reference_draws(rng, count, spec.len_min, spec.len_max,
+                                         spec.source_vocab_size)
+        out[name] = codes, np.concatenate(([0], np.cumsum(lengths)))
+    return out
+
+
+def assert_same_draws(bits, ref_bits, count, len_min, len_max, vocab_size):
+    lengths, codes = dt._draw_sentences(bits, count, len_min, len_max, vocab_size)
+    ref_lengths, ref_codes = reference_draws(np.random.Generator(ref_bits), count, len_min,
+                                             len_max, vocab_size)
+    assert lengths.dtype == codes.dtype == np.int64
+    assert lengths.tobytes() == ref_lengths.tobytes()
+    assert codes.tobytes() == ref_codes.tobytes()
+
+
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def pcg64_with_zero_output(index, inc=0xDA3E39CB94B95BDB):
+    """A PCG64 whose raw output number `index` (from 0) is 0.
+
+    PCG64 steps its 128-bit state s to s * multiplier + inc and then outputs
+    the high and low halves of s XORed and rotated right by the top 6 bits of
+    s. A state with equal halves and a top of 0 outputs 0; stepping back from
+    it `index + 1` times gives the state to start from. A zero word fails
+    Lemire's test for every range that is not a power of 2, so both 32-bit
+    words of that output are rejected by whichever draw meets them.
+    """
+    state = 12345 << 64 | 12345
+    inverse = pow(PCG64_MULTIPLIER, -1, 1 << 128)
+    for _ in range(index + 1):
+        state = (state - inc) * inverse % (1 << 128)
+    bits = np.random.PCG64(0)
+    bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                  "has_uint32": 0, "uinteger": 0}
+    return bits
+
+
+class CountingBits:
+    """A PCG64 that counts the `random_raw` calls made on it."""
+
+    def __init__(self, seed):
+        self.bits = np.random.PCG64(seed)
+        self.calls = 0
+
+    def random_raw(self, size):
+        self.calls += 1
+        return self.bits.random_raw(size)
+
+
+class TestBulkDraws:
+    """`_draw_sentences` computes the corpus draws from the PCG64 stream; it
+    must give exactly what the `rng.integers` calls give."""
+
+    @pytest.mark.parametrize("kw", [
+        {},
+        dict(len_min=24, len_max=48),
+        dict(len_min=7, len_max=7),
+        dict(source_vocab_size=1),
+        dict(len_min=5, len_max=5, source_vocab_size=1),
+        dict(n_valid=0, n_test=0),
+        dict(n_train=1),
+    ], ids=["default", "24-48", "one-length", "one-token", "one-length-one-token",
+            "no-valid-or-test", "one-train"])
+    def test_corpus_equals_the_one_call_per_draw_reference(self, kw):
+        spec = dt.SyntheticTaskSpec(**kw)
+        corpus = dt.generate_synthetic_corpus(spec)
+        for name, (codes, bounds) in reference_sources(spec).items():
+            src = corpus.splits[name][0]
+            assert src.codes.dtype == src.bounds.dtype == np.int64
+            assert src.codes.tobytes() == codes.tobytes()
+            assert src.bounds.tobytes() == bounds.tobytes()
+
+    @pytest.mark.parametrize("vocab_size", [2, 3, 200, 2**31 + 1, 3 << 30, 2**32 - 1])
+    @pytest.mark.parametrize("len_min, len_max", [(1, 5), (3, 3)])
+    def test_token_ranges_up_to_2_32(self, vocab_size, len_min, len_max):
+        assert_same_draws(np.random.PCG64(5), np.random.PCG64(5), 300, len_min, len_max,
+                          vocab_size)
+
+    def test_rejected_token_words_and_a_stream_extension(self):
+        count, length, r = 400, 10, 3 << 30  # about a quarter of the words are rejected
+        bits = CountingBits(9)
+        assert_same_draws(bits, np.random.PCG64(9), count, length, length, r)
+        # every word is a token word, and the draws take at least the first
+        # count * length of them: one that fails the test was rejected
+        raw = np.random.PCG64(9).random_raw(count * length // 2)
+        words = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel()
+        assert np.count_nonzero((words * r) % 2**32 < (2**32 - r) % r) > count * length // 8
+        assert bits.calls >= 2  # the first block of words ran short
+
+    @pytest.mark.parametrize("index", [0, 1, 2, 5, 40])
+    def test_rejected_length_and_token_words(self, index):
+        # output 0 rejects the first two length draws; later ones fall on
+        # length or token draws as the walk meets them
+        assert_same_draws(pcg64_with_zero_output(index), pcg64_with_zero_output(index),
+                          30, 4, 12, 200)
+
+    def test_zero_output_state(self):
+        bits = pcg64_with_zero_output(3)
+        assert bits.random_raw(5)[3] == 0
+
+    def test_ranges_of_2_32_are_refused(self):
+        for len_max, vocab_size in ((2**32, 5), (3, 2**32)):
+            with pytest.raises(ValueError, match=re.escape("[1, 2**32)")):
+                dt._draw_sentences(np.random.PCG64(0), 1, 1, len_max, vocab_size)
+
+
+@pytest.mark.parametrize("kw, field", [
+    (dict(source_vocab_size=2**32, target_vocab_size=2**32), "source_vocab_size"),
+    (dict(source_vocab_size=2**33), "source_vocab_size"),
+    (dict(len_min=1, len_max=2**32), "len_max"),
+    (dict(len_min=5, len_max=2**32 + 4), "len_max"),
+])
+def test_spec_refuses_draw_ranges_of_2_32_or_more(kw, field):
+    with pytest.raises(ValueError, match=field):
+        dt.SyntheticTaskSpec(**kw)
+
+
+def test_spec_takes_draw_ranges_just_below_2_32():
+    dt.SyntheticTaskSpec(source_vocab_size=2**32 - 1, target_vocab_size=2**32 - 1)
+    dt.SyntheticTaskSpec(len_min=2, len_max=2**32)
+
+
 class TestInternCorpus:
     PAIRS = {"train": [(["a", "b", "a"], ["x"]), (["c"], ["y", "x"])],
              "test": [(["d", "a"], ["z"])]}

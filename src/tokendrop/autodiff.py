@@ -3,7 +3,7 @@
 Implements exactly the operation set the translation model needs: elementwise
 arithmetic with broadcasting, matmul (optionally batched), softmax, log,
 sigmoid, relu, dropout, reshape/transpose, reductions, embedding lookup,
-position gathering, and three fused ops: the masked attention core, layer
+position gathering, and three fused ops: masked multi-head attention, layer
 norm's normalize-and-scale and a token-level cross entropy. Operations
 executed while a GradTape is active are recorded; replaying the tape in
 reverse accumulates gradients into every tensor that influenced the loss.
@@ -19,9 +19,9 @@ the model code drops it. What each op keeps:
 - `relu`: its output, not its input.
 - `dropout`: its boolean keep mask and the scale.
 - `log`, `clip`: their input or a mask of it; `sigmoid` and `softmax`
-  their output; `matmul` both operands; `attention` q, k, v and the
-  probabilities; `embedding` the table; `take_positions` its input;
-  `cross_entropy` the log-probabilities.
+  their output; `matmul` both operands; `attention` the head views of
+  q, k and v and the probabilities; `embedding` the table;
+  `take_positions` its input; `cross_entropy` the log-probabilities.
 - `layer_norm`: its centering keeps nothing; its fused normalize-and-scale
   keeps the centered input, two per-row factors and the gain, not the
   normalized output.
@@ -411,29 +411,36 @@ def softmax(a, axis):
     return out
 
 
-def attention(q, k, v, key_pad, causal):
-    """softmax(q·kᵀ/√d_head + mask)·v over [batch, heads, len, d_head] stacks.
+def attention(q, k, v, key_pad, causal, heads):
+    """softmax(q·kᵀ/√d_head + mask)·v over `heads` heads of [batch, len,
+    d_model] projections, merged back to [batch, query_len, d_model].
 
     The mask adds `_MASK_OFFSET` to the scores of keys where the boolean
     `key_pad` [batch, key_len] is set and, if `causal`, of keys after the
     query's position (twice where both hold). Causal queries are the last
     query_len of key_len positions, so a query block that continues a
-    cached prefix sees that prefix. One tape entry keeps only the attention
-    probabilities for the backward pass.
+    cached prefix sees that prefix. One tape entry keeps the head views of
+    q, k and v and the probabilities. Backward splits a contiguous copy of
+    the gradient and hands out C-contiguous merged gradients, the layouts of
+    the split, per-head op and merge chain, so it rounds as that chain does.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     key_pad = np.asarray(key_pad, dtype=bool)
-    if q.data.ndim != 4 or k.data.ndim != 4 or v.data.ndim != 4:
-        raise ShapeError(f"attention needs 4-d q, k and v, got {q.data.shape}, "
+    if q.data.ndim != 3 or k.data.ndim != 3 or v.data.ndim != 3:
+        raise ShapeError(f"attention needs 3-d q, k and v, got {q.data.shape}, "
                          f"{k.data.shape} and {v.data.shape}")
-    b, h, lq, d = q.data.shape
-    lk = k.data.shape[2]
-    if k.data.shape != (b, h, lk, d) or v.data.shape[:3] != (b, h, lk) or key_pad.shape != (b, lk):
+    b, lq, dm = q.data.shape
+    lk = k.data.shape[1]
+    if k.data.shape != (b, lk, dm) or v.data.shape != (b, lk, dm) or key_pad.shape != (b, lk):
         raise ShapeError(f"attention shapes disagree: q {q.data.shape}, k {k.data.shape}, "
                          f"v {v.data.shape}, key_pad {key_pad.shape}")
+    if dm % heads:
+        raise ShapeError(f"attention needs d_model divisible by heads, got {dm} and {heads}")
     if causal and lq > lk:
         raise ShapeError(f"causal attention needs no more queries than keys, got {lq} and {lk}")
-    qd, kd, vd = q.data, k.data, v.data
+    d = dm // heads
+    qd, kd, vd = (x.data.reshape(b, x.data.shape[1], heads, d).transpose(0, 2, 1, 3)
+                  for x in (q, k, v))
     scale = 1.0 / np.sqrt(d)
     s = np.matmul(qd, np.swapaxes(kd, -1, -2))
     s *= scale
@@ -442,9 +449,10 @@ def attention(q, k, v, key_pad, causal):
         np.add(s, _MASK_OFFSET, out=s, where=later)
     np.add(s, _MASK_OFFSET, out=s, where=key_pad[:, None, None, :])
     _softmax_(s, -1)
-    out = Tensor(np.matmul(s, vd))
+    out = Tensor(np.matmul(s, vd).transpose(0, 2, 1, 3).reshape(b, lq, dm))
 
     def backward_fn(g):
+        g = np.ascontiguousarray(g.reshape(b, lq, heads, d).transpose(0, 2, 1, 3))
         gs = np.matmul(g, np.swapaxes(vd, -1, -2))
         gv = np.matmul(np.swapaxes(s, -1, -2), g)
         gs -= (gs * s).sum(axis=-1, keepdims=True)
@@ -452,7 +460,7 @@ def attention(q, k, v, key_pad, causal):
         gs *= scale
         gq = np.matmul(gs, kd)
         gk = np.swapaxes(np.matmul(np.swapaxes(qd, -1, -2), gs), -1, -2)
-        return (gq, gk, gv)
+        return tuple(x.transpose(0, 2, 1, 3).reshape(b, x.shape[2], dm) for x in (gq, gk, gv))
 
     _record((q, k, v), out, backward_fn)
     return out

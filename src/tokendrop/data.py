@@ -224,9 +224,10 @@ def _reorder_index(src, window):
     pos = np.arange(n) - np.repeat(src.bounds[:-1], lengths)  # position in its sentence
     starts = np.flatnonzero(pos % window == 0)
     sizes = np.diff(starts, append=n)
-    shift = np.add.reduceat(src.codes, starts) % window == 0
-    offset = (pos % window + np.repeat(shift, sizes)) % np.repeat(sizes, sizes)
-    return np.repeat(starts, sizes) + offset
+    turn = np.add.reduceat(src.codes, starts) % window == 0
+    idx = np.arange(n) + np.repeat(turn, sizes)  # a turned window reads one ahead...
+    idx[(starts + sizes - 1)[turn]] = starts[turn]  # ...and its last token reads its first
+    return idx
 
 
 def _lemire(words, r):
@@ -474,8 +475,7 @@ def make_batches(pairs, batch_size, rng):
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)  # a Generator comes back unchanged
     if not isinstance(pairs, SentencePairs):
         pairs = SentencePairs.join(pairs)
     order = rng.permutation(len(pairs))

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Sentences
-from .dropping import droppable_positions, no_drop
+from .dropping import UNK_TAG, corrupt_ids, no_drop
 from .model import DecodeCache, decode, encode
-from .vocab import BOS_ID, EOS_ID, PAD_ID, UNK_ID
+from .vocab import BOS_ID, EOS_ID, PAD_ID
 
 
 def greedy_decode(source_ids, state, max_len):
@@ -134,10 +134,9 @@ class NoiseEvalSpec:
             raise ValueError("max_decode_len must be >= 1")
 
 
-def _add_unk_noise(source_ids, rate, rng):
-    ids = np.asarray(source_ids, dtype=np.int64)
-    hit = (rng.random(ids.shape) < rate) & droppable_positions(ids)
-    return list(np.where(hit, UNK_ID, ids))
+def _add_unk_noise(sources, rate, rng):
+    """`sources` (`Sentences`) with content tokens made `<unk>` by the UNK-tag drop rule."""
+    return Sentences(corrupt_ids(sources.codes, rate, UNK_TAG, rng).corrupted_ids, sources.bounds)
 
 
 def noise_eval(test_pairs, state, spec):
@@ -148,7 +147,7 @@ def noise_eval(test_pairs, state, spec):
     set; rate 0 collapses to one deterministic evaluation. Returns a list of
     {rate, mean_bleu, std_bleu} rows in rate order.
     """
-    sources = [s for s, _ in test_pairs]
+    sources = Sentences.join([s for s, _ in test_pairs])
     refs = [r for _, r in test_pairs]
     rows = []
     for ri, rate in enumerate(spec.rates):
@@ -156,7 +155,7 @@ def noise_eval(test_pairs, state, spec):
         scores = []
         for s in range(n_samples):
             rng = np.random.default_rng([spec.seed, ri, s])
-            noisy = [_add_unk_noise(src, rate, rng) for src in sources]
+            noisy = list(_add_unk_noise(sources, rate, rng))
             hyps = greedy_decode_batch(noisy, state, spec.max_decode_len)
             scores.append(corpus_bleu(hyps, refs).bleu)
         rows.append({

@@ -145,32 +145,20 @@ def embed(table, batch, cfg, *, start=0, train=False, rng=None):
     return _dropout(x, cfg.p_dropout, train, rng)
 
 
-def _split_heads(x, b, length, cfg):
-    h = ad.reshape(x, (b, length, cfg.n_heads, cfg.d_model // cfg.n_heads))
-    return ad.transpose(h, (0, 2, 1, 3))
-
-
-def _merge_heads(x, b, length, cfg):
-    h = ad.transpose(x, (0, 2, 1, 3))
-    return ad.reshape(h, (b, length, cfg.d_model))
-
-
 def _attention(params, prefix, q_in, kv_in, key_pad, causal, cfg, cache=None):
-    b, lq = q_in.data.shape[0], q_in.data.shape[1]
-    q = _split_heads(ad.matmul(q_in, params[f"{prefix}.wq"]), b, lq, cfg)
+    q = ad.matmul(q_in, params[f"{prefix}.wq"])
     if cache is not None and not causal and prefix in cache.kv:
         k, v = cache.kv[prefix]
     else:
-        lk = kv_in.data.shape[1]
-        k = _split_heads(ad.matmul(kv_in, params[f"{prefix}.wk"]), b, lk, cfg)
-        v = _split_heads(ad.matmul(kv_in, params[f"{prefix}.wv"]), b, lk, cfg)
+        k = ad.matmul(kv_in, params[f"{prefix}.wk"])
+        v = ad.matmul(kv_in, params[f"{prefix}.wv"])
         if cache is not None:
             if prefix in cache.kv:  # causal: the new positions' keys follow the cached ones
-                k, v = (ad.Tensor(np.concatenate([old.data, new.data], axis=2))
+                k, v = (ad.Tensor(np.concatenate([old.data, new.data], axis=1))
                         for old, new in zip(cache.kv[prefix], (k, v)))
             cache.kv[prefix] = (k, v)
-    ctx = ad.attention(q, k, v, key_pad, causal)
-    return ad.matmul(_merge_heads(ctx, b, lq, cfg), params[f"{prefix}.wo"])
+    ctx = ad.attention(q, k, v, key_pad, causal, cfg.n_heads)
+    return ad.matmul(ctx, params[f"{prefix}.wo"])
 
 
 def _sublayer(params, prefix, x, fx, cfg, train, rng):
@@ -201,10 +189,11 @@ class DecodeCache:
 
     `start` positions have been run so far and `pad_mask` [batch, start]
     marks the pads among them. `kv` maps an attention block's prefix to
-    its keys and values [batch, heads, len, d_head]: a causal block's grow
-    by the new positions at each call, a cross block's are projected from
-    the encoder once and reused. Grown keys and values carry no gradient,
-    so a cache is for inference only.
+    its key and value projections [batch, len, d_model], which
+    `ad.attention` splits into heads: a causal block's grow along the
+    length axis by the new positions at each call, a cross block's are
+    projected from the encoder once and reused. Grown keys and values carry
+    no gradient, so a cache is for inference only.
     """
 
     start: int = 0

@@ -102,87 +102,107 @@ class TestSoftmax:
             ad.softmax(t([1.0, 2.0]), 3)
 
 
-def heads(rng, b, h, length, d):
-    """A [b, h, length, d] leaf laid out like the model's split heads: a
-    transposed view of a [b, length, h, d] array."""
-    return t(np.transpose(rng.normal(size=(b, length, h, d)), (0, 2, 1, 3)), grad=True)
+def projection(rng, b, length, d_model):
+    """A [b, length, d_model] leaf, laid out as the model's projections are."""
+    return t(rng.normal(size=(b, length, d_model)), grad=True)
 
 
-def attention_chain(q, k, v, key_pad, causal):
-    """The primitive chain the fused op replaced, masks as float biases."""
+def attention_chain(q, k, v, key_pad, causal, heads):
+    """The primitive chain the fused op replaced: split into heads, the
+    per-head chain with masks as float biases, then merge."""
+    b, lq, d_model = q.shape
+    lk, d = k.shape[1], d_model // heads
+
+    def split(x, length):
+        return ad.transpose(ad.reshape(x, (b, length, heads, d)), (0, 2, 1, 3))
+
+    q, k, v = split(q, lq), split(k, lk), split(v, lk)
     bias = np.where(key_pad, -1e9, 0.0)[:, None, None, :]
     if causal:
-        bias = np.triu(np.full((q.shape[2], k.shape[2]), -1e9), k=1) + bias
-    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(q.shape[-1]))
-    return ad.matmul(ad.softmax(ad.add(scores, bias), -1), v)
+        bias = np.triu(np.full((lq, lk), -1e9), k=1 + lk - lq) + bias
+    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(d))
+    ctx = ad.matmul(ad.softmax(ad.add(scores, bias), -1), v)
+    return ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b, lq, d_model))
+
+
+def fused_and_chain(rng, lq, lk, heads, d_head, causal):
+    """Output and q, k, v gradients of the fused op and of the chain, on
+    three batch rows: row 0 pads its last two keys, row 1 none, row 2 every
+    key (fully masked)."""
+    d_model = heads * d_head
+    data = [rng.normal(size=(3, n, d_model)) for n in (lq, lk, lk)]
+    key_pad = np.zeros((3, lk), dtype=bool)
+    key_pad[0, -2:] = key_pad[2] = True
+    w = rng.normal(size=(3, lq, d_model))
+    results = []
+    for op in (ad.attention, attention_chain):
+        qkv = [t(x, grad=True) for x in data]
+        with ad.GradTape():
+            out = op(*qkv, key_pad, causal, heads)
+            ad.backward(ad.tsum(ad.mul(out, w)))
+        results.append([out.data, *(x.grad for x in qkv)])
+    return results
 
 
 class TestAttention:
     @pytest.mark.parametrize("d_head", [16, 12])
     @pytest.mark.parametrize("causal", [True, False])
     def test_bitwise_equal_to_the_primitive_chain(self, d_head, causal):
-        rng = np.random.default_rng(d_head)
         lq, lk = (7, 7) if causal else (5, 7)
-        shapes = [(3, 2, lq, d_head), (3, 2, lk, d_head), (3, 2, lk, d_head)]
-        data = [heads(rng, b, h, n, d).data for b, h, n, d in shapes]
-        # row 0 pads its last two keys, row 1 none, row 2 every key (fully masked)
-        key_pad = np.zeros((3, lk), dtype=bool)
-        key_pad[0, -2:] = key_pad[2] = True
-        w = rng.normal(size=(3, 2, lq, d_head))
-        results = []
-        for op in (ad.attention, attention_chain):
-            qkv = [t(x, grad=True) for x in data]
-            with ad.GradTape():
-                out = op(*qkv, key_pad, causal)
-                ad.backward(ad.tsum(ad.mul(out, w)))
-            results.append([out.data, *(x.grad for x in qkv)])
-        for fused, chain in zip(*results):
+        for fused, chain in zip(*fused_and_chain(np.random.default_rng(d_head), lq, lk, 2,
+                                                 d_head, causal)):
+            assert fused.tobytes() == chain.tobytes()
+
+    @pytest.mark.parametrize("causal", [True, False])
+    def test_bitwise_equal_to_the_chain_with_one_head_and_fewer_queries(self, causal):
+        for fused, chain in zip(*fused_and_chain(np.random.default_rng(1), 4, 7, 1, 16,
+                                                 causal)):
             assert fused.tobytes() == chain.tobytes()
 
     @pytest.mark.parametrize("which", [0, 1, 2])
     def test_grad_check(self, which):
         rng = np.random.default_rng(which)
-        qkv = [heads(rng, 2, 2, 4, 3) for _ in range(3)]
+        qkv = [projection(rng, 2, 4, 6) for _ in range(3)]
         key_pad = np.array([[False, False, False, True], [False, False, False, False]])
-        w = rng.normal(size=(2, 2, 4, 3))
+        w = rng.normal(size=(2, 4, 6))
 
         def f(x):
             args = [x if i == which else a for i, a in enumerate(qkv)]
-            return ad.tsum(ad.mul(ad.attention(*args, key_pad, True), w))
+            return ad.tsum(ad.mul(ad.attention(*args, key_pad, True, 2), w))
 
         assert grad_check(f, qkv[which]) < 1e-6
 
     def test_masked_keys_get_no_weight_and_no_gradient(self):
         rng = np.random.default_rng(4)
-        q, k, v = (heads(rng, 1, 2, 5, 4) for _ in range(3))
+        q, k, v = (projection(rng, 1, 5, 8) for _ in range(3))
         key_pad = np.array([[False, False, True, False, True]])
         with ad.GradTape():
-            out = ad.attention(q, k, v, key_pad, False)
+            out = ad.attention(q, k, v, key_pad, False, 2)
             ad.backward(ad.tsum(ad.mul(out, rng.normal(size=out.shape))))
-        alone = ad.attention(q.data, k.data[:, :, [0, 1, 3]], v.data[:, :, [0, 1, 3]],
-                             np.zeros((1, 3), dtype=bool), False)
+        alone = ad.attention(q.data, k.data[:, [0, 1, 3]], v.data[:, [0, 1, 3]],
+                             np.zeros((1, 3), dtype=bool), False, 2)
         np.testing.assert_allclose(out.data, alone.data, rtol=1e-12)
-        assert not k.grad[:, :, [2, 4]].any() and not v.grad[:, :, [2, 4]].any()
+        assert not k.grad[:, [2, 4]].any() and not v.grad[:, [2, 4]].any()
 
     def test_fully_masked_row_stays_finite(self):
         rng = np.random.default_rng(5)
-        q, k, v = (heads(rng, 1, 1, 3, 4) for _ in range(3))
+        q, k, v = (projection(rng, 1, 3, 4) for _ in range(3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with ad.GradTape():
-                out = ad.attention(q, k, v, np.ones((1, 3), dtype=bool), False)
+                out = ad.attention(q, k, v, np.ones((1, 3), dtype=bool), False, 1)
                 ad.backward(ad.tsum(out))
         assert np.isfinite(out.data).all()
         assert all(np.isfinite(x.grad).all() for x in (q, k, v))
         # every score carries the same offset, so the row attends over all its keys
         np.testing.assert_allclose(out.data, ad.attention(q, k, v, np.zeros((1, 3), bool),
-                                                          False).data, rtol=1e-6)
+                                                          False, 1).data, rtol=1e-6)
 
     def test_score_gap_of_720_gives_an_exact_zero(self, monkeypatch):
         # exp(-720) is a subnormal (about 1.3e-313); the op must not pass it on
-        q = t(np.ones((1, 1, 1, 1)), grad=True)
-        k = t(np.array([0.0, -720.0]).reshape(1, 1, 2, 1), grad=True)
-        v = t(np.array([2.0, 3.0]).reshape(1, 1, 2, 1), grad=True)
+        q = t(np.ones((1, 1, 1)), grad=True)
+        k = t(np.array([0.0, -720.0]).reshape(1, 2, 1), grad=True)
+        v = t(np.array([2.0, 3.0]).reshape(1, 2, 1), grad=True)
         captured = []
         real = ad._softmax_
 
@@ -192,7 +212,7 @@ class TestAttention:
 
         monkeypatch.setattr(ad, "_softmax_", keeping)
         with ad.GradTape():
-            out = ad.attention(q, k, v, np.zeros((1, 2), dtype=bool), False)
+            out = ad.attention(q, k, v, np.zeros((1, 2), dtype=bool), False, 1)
             ad.backward(ad.tsum(out))
         [probs] = captured
         assert probs.ravel().tolist() == [1.0, 0.0] and out.data.item() == 2.0
@@ -204,41 +224,43 @@ class TestAttention:
     def test_causal_queries_are_the_last_positions(self, lq):
         # a query block that continues a prefix of 6 - lq keys sees that prefix
         rng = np.random.default_rng(lq)
-        q, k, v = (heads(rng, 2, 2, 6, 4) for _ in range(3))
+        q, k, v = (projection(rng, 2, 6, 8) for _ in range(3))
         key_pad = np.zeros((2, 6), dtype=bool)
         key_pad[1, 2] = True
-        full = ad.attention(q, k, v, key_pad, True).data
-        tail = ad.attention(q.data[:, :, -lq:], k, v, key_pad, True).data
-        np.testing.assert_allclose(tail, full[:, :, -lq:], rtol=1e-12)
+        full = ad.attention(q, k, v, key_pad, True, 2).data
+        tail = ad.attention(q.data[:, -lq:], k, v, key_pad, True, 2).data
+        np.testing.assert_allclose(tail, full[:, -lq:], rtol=1e-12)
 
     @pytest.mark.parametrize("which", [0, 1, 2])
     def test_grad_check_with_fewer_queries_than_keys(self, which):
         rng = np.random.default_rng(10 + which)
-        qkv = [heads(rng, 2, 2, 2, 3), heads(rng, 2, 2, 5, 3), heads(rng, 2, 2, 5, 3)]
+        qkv = [projection(rng, 2, 2, 6), projection(rng, 2, 5, 6), projection(rng, 2, 5, 6)]
         key_pad = np.array([[False, True, False, False, False], [False] * 5])
-        w = rng.normal(size=(2, 2, 2, 3))
+        w = rng.normal(size=(2, 2, 6))
 
         def f(x):
             args = [x if i == which else a for i, a in enumerate(qkv)]
-            return ad.tsum(ad.mul(ad.attention(*args, key_pad, True), w))
+            return ad.tsum(ad.mul(ad.attention(*args, key_pad, True, 2), w))
 
         assert grad_check(f, qkv[which]) < 1e-6
 
     def test_causal_with_more_queries_than_keys_rejected(self):
         rng = np.random.default_rng(0)
-        q, k = heads(rng, 1, 1, 3, 2), heads(rng, 1, 1, 2, 2)
+        q, k = projection(rng, 1, 3, 2), projection(rng, 1, 2, 2)
         with pytest.raises(ad.ShapeError, match="no more queries than keys"):
-            ad.attention(q, k, k, np.zeros((1, 2), dtype=bool), True)
+            ad.attention(q, k, k, np.zeros((1, 2), dtype=bool), True, 1)
 
+    # q, k, v and key_pad shapes, with 2 heads; "three_d" passes 4-d stacks
     @pytest.mark.parametrize("shapes, pad", [
-        (((1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 3, 4)), (1, 3)),
-        (((1, 2, 3, 4), (1, 2, 3, 4), (1, 2, 2, 4)), (1, 3)),
-        (((1, 2, 3, 4), (1, 2, 3, 4), (1, 2, 3, 4)), (1, 2)),
-        (((2, 3, 4), (2, 3, 4), (2, 3, 4)), (2, 3)),
-    ], ids=["d_head", "v_length", "key_pad", "three_d"])
+        (((1, 3, 4), (1, 3, 6), (1, 3, 4)), (1, 3)),
+        (((1, 3, 4), (1, 3, 4), (1, 2, 4)), (1, 3)),
+        (((1, 3, 4), (1, 3, 4), (1, 3, 4)), (1, 2)),
+        (((1, 3, 5), (1, 3, 5), (1, 3, 5)), (1, 3)),
+        (((1, 2, 3, 4), (1, 2, 3, 4), (1, 2, 3, 4)), (1, 3)),
+    ], ids=["d_head", "v_length", "key_pad", "heads", "three_d"])
     def test_shape_mismatch_rejected(self, shapes, pad):
         with pytest.raises(ad.ShapeError, match="attention"):
-            ad.attention(*(t(np.zeros(s)) for s in shapes), np.zeros(pad, dtype=bool), False)
+            ad.attention(*(t(np.zeros(s)) for s in shapes), np.zeros(pad, dtype=bool), False, 2)
 
 
 HEAP_PROBE = """
@@ -639,7 +661,7 @@ class TestDefaultTrainStep:
         batch = make_batches(bundle.train, cfg.train.batch_size, np.random.default_rng(0))[0]
         return cfg, bundle, batch
 
-    def test_records_202_tape_entries(self, setup, monkeypatch):
+    def test_records_154_tape_entries(self, setup, monkeypatch):
         cfg, bundle, batch = setup
         entries = []
         real = ad.backward
@@ -650,7 +672,7 @@ class TestDefaultTrainStep:
 
         monkeypatch.setattr(ad, "backward", counting)
         train_step(batch, build_state(cfg, bundle))
-        assert entries == [202], f"10 layer norms at 5 entries each; {BENCH_LAYER_NORM_ENTRIES}"
+        assert entries == [154], f"10 layer norms at 5 entries each; {BENCH_LAYER_NORM_ENTRIES}"
 
     def test_peak_traced_memory(self, setup):
         cfg, bundle, batch = setup

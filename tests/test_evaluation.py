@@ -6,10 +6,11 @@ import pytest
 from tokendrop import autodiff as ad
 from tokendrop import evaluation
 from tokendrop.config import load_config
+from tokendrop.dropping import droppable_positions
 from tokendrop.evaluation import (NoiseEvalSpec, corpus_bleu, greedy_decode, greedy_decode_batch,
                                   noise_eval)
 from tokendrop.pipeline import build_state, evaluate_clean, prepare_data
-from tokendrop.vocab import EOS_ID
+from tokendrop.vocab import EOS_ID, UNK_ID
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +97,47 @@ class TestGreedyDecode:
             bias[...] = saved
 
 
+def noise_eval_by_sentence(test_pairs, spec):
+    """Reference `noise_eval`: one uniform draw per token, sentence by sentence."""
+    rows = []
+    for ri, rate in enumerate(spec.rates):
+        scores = []
+        for s in range(1 if rate == 0.0 else spec.samples):
+            rng = np.random.default_rng([spec.seed, ri, s])
+            noisy = []
+            for src, _ in test_pairs:
+                ids = np.asarray(src, dtype=np.int64)
+                hit = (rng.random(ids.shape) < rate) & droppable_positions(ids)
+                noisy.append([int(i) for i in np.where(hit, UNK_ID, ids)])
+            hyps = evaluation.greedy_decode_batch(noisy, None, spec.max_decode_len)
+            scores.append(corpus_bleu(hyps, [r for _, r in test_pairs]).bleu)
+        rows.append({"rate": float(rate), "mean_bleu": float(np.mean(scores)),
+                     "std_bleu": float(np.std(scores))})
+    return rows
+
+
 class TestNoiseEval:
+    def test_rows_match_noising_each_sentence_alone(self, small, monkeypatch):
+        # decoding echoes the noisy source and each reference is the clean
+        # source, so every <unk> the noise puts in costs BLEU
+        _, test = small
+        pairs = [(s, s) for s, _ in test]
+        spec = NoiseEvalSpec(rates=(0.0, 0.05, 0.5), samples=4, seed=3, max_decode_len=6)
+        calls = []
+
+        def echoing(sources, state, max_len):
+            calls.append([list(s) for s in sources])
+            return calls[-1]
+
+        monkeypatch.setattr(evaluation, "greedy_decode_batch", echoing)
+        rows = noise_eval(pairs, None, spec)
+        seen = calls.copy()
+        calls.clear()
+        assert rows == noise_eval_by_sentence(pairs, spec)
+        assert seen == calls and len(seen) == 1 + 2 * 4
+        assert rows[0]["mean_bleu"] == 100.0 and rows[2]["mean_bleu"] < rows[1]["mean_bleu"]
+        assert rows[2]["std_bleu"] > 0.0
+
     def test_rate_zero_decodes_once(self, small, monkeypatch):
         state, test = small
         calls = []

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import warnings
@@ -242,6 +243,16 @@ def test_mode_arguments_are_keyword_only():
         md.decode(tgt, enc, params, cfg, UNK_TAG)
     with pytest.raises(TypeError):
         md.embed(params["src_emb"], src, cfg, UNK_TAG)
+
+
+def test_attention_block_positional_parameters():
+    # bench/tracer.py names each attention block by its second positional
+    # argument and hands the cache on through *args; a reorder would silently
+    # zero its per-block metrics
+    params = inspect.signature(md._attention).parameters.values()
+    assert [p.name for p in params] == ["params", "prefix", "q_in", "kv_in", "key_pad",
+                                        "causal", "cfg", "cache"]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
 
 
 class TestHeads:

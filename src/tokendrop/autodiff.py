@@ -79,7 +79,7 @@ class Tensor:
     A tensor made with `requires_grad=True` gets its slot at once; any other
     gets one only when a tape records it, so untaped work (decoding) makes
     none. The slot takes the data's layout each time a tape records the
-    tensor, so it follows an assignment to `data` (as `restore` makes).
+    tensor, so it follows an assignment to `data`.
     `grad` is populated (as a plain ndarray) by `backward`. `requires_grad`
     is the only gradient flag: the caller sets it on trainable leaves, and an
     op recorded on a tape sets it on its output when any input has it.

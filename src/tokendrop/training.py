@@ -24,7 +24,7 @@ from .model import ModelConfig, decode, dtp_head, encode, init_parameters, rtd_h
 from .objectives import ObjectiveConfig, dtp_loss, joint_loss, rtd_loss, translation_loss
 from .vocab import PAD_ID
 
-CHECKPOINT_FORMAT_VERSION = 3  # raised whenever a header config gains or loses a field
+CHECKPOINT_FORMAT_VERSION = 4  # raised whenever the layout or a header config's fields change
 
 
 @dataclass
@@ -252,7 +252,13 @@ _STATE_CONFIGS = (("model_cfg", ModelConfig), ("drop_cfg", DropConfig),
 
 
 def checkpoint(state, path):
-    """Serialize the full training state (versioned header + named arrays)."""
+    """Serialize the full training state as an `.npz` archive of four members.
+
+    `header` is the JSON header as uint8 bytes: format version, configs,
+    step, rng states, and `param_order`, each parameter's name and shape.
+    `params`, `adam_m` and `adam_v` are float64 vectors, each the arrays of
+    its kind raveled and concatenated in `param_order`.
+    """
     header = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         **{name: asdict(getattr(state, name)) for name, _ in _STATE_CONFIGS},
@@ -261,11 +267,12 @@ def checkpoint(state, path):
         "corrupt_rng": state.corrupt_rng.bit_generator.state,
         "dropout_rng": state.dropout_rng.bit_generator.state,
     }
-    arrays = {"header": np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)}
-    for name, t in state.params.items():
-        arrays[f"param.{name}"] = t.data
-        arrays[f"adam_m.{name}"] = state.adam_m[name]
-        arrays[f"adam_v.{name}"] = state.adam_v[name]
+    arrays = {
+        "header": np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8),
+        "params": np.concatenate([t.data for t in state.params.values()], axis=None),
+        "adam_m": np.concatenate([state.adam_m[name] for name in state.params], axis=None),
+        "adam_v": np.concatenate([state.adam_v[name] for name in state.params], axis=None),
+    }
     # a failed write leaves the previous checkpoint in place
     tmp = f"{os.fspath(path)}.tmp"
     try:
@@ -284,39 +291,69 @@ class CheckpointError(RuntimeError):
 
 
 def restore(path):
-    """Rebuild a TrainState from a checkpoint, validating against the header."""
+    """Rebuild a TrainState from a `checkpoint` archive.
+
+    The header's format version, parameter names and shapes must match this
+    program's model. Each vector must be stored as float64, with exactly the
+    values `param_order` needs; nothing is cast. Each name's slice is copied
+    into the array TrainState made for that name, a C-contiguous float64
+    buffer of its own, so no two arrays share memory. A fault of any kind
+    raises CheckpointError naming the file.
+    """
     try:
         with np.load(path) as archive:
-            arrays = {k: archive[k] for k in archive.files}
-        header = json.loads(arrays["header"].tobytes().decode("utf-8"))
+            header = json.loads(archive["header"].tobytes().decode("utf-8"))
+            if not isinstance(header, dict):
+                raise CheckpointError(f"checkpoint {path} has a header that is not a JSON object")
+            version = header.get("format_version")
+            if version != CHECKPOINT_FORMAT_VERSION:
+                raise CheckpointError(f"checkpoint {path} has unsupported format version {version}; "
+                                      f"this program reads {CHECKPOINT_FORMAT_VERSION}")
+            vectors = {kind: archive[kind] for kind in ("params", "adam_m", "adam_v")}
     except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    if not isinstance(header, dict):
-        raise CheckpointError(f"checkpoint {path} has a header that is not a JSON object")
-    if header.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint format version {header.get('format_version')}")
 
     try:
         state = TrainState(*(cls(**header[name]) for name, cls in _STATE_CONFIGS))
-        missing = state.params.keys() - {name for name, _ in header["param_order"]}
+        order = [(name, tuple(shape)) for name, shape in header["param_order"]]
+        missing = state.params.keys() - {name for name, _ in order}
         if missing:
             raise CheckpointError(f"checkpoint {path} lacks parameters {sorted(missing)}")
-        for name, shape in header["param_order"]:
+        for name, shape in order:
             if name not in state.params:
-                raise CheckpointError(f"checkpoint parameter {name} unknown to this configuration")
-            expect = tuple(shape)
-            data = arrays[f"param.{name}"]
-            if data.shape != expect or state.params[name].data.shape != expect:
                 raise CheckpointError(
-                    f"shape mismatch for {name}: header {expect}, stored {data.shape}, "
-                    f"model {state.params[name].data.shape}")
-            state.params[name].data = data.astype(np.float64)
-            state.adam_m[name] = arrays[f"adam_m.{name}"].astype(np.float64)
-            state.adam_v[name] = arrays[f"adam_v.{name}"].astype(np.float64)
-        state.step = int(header["step"])
+                    f"checkpoint {path} parameter {name} unknown to this configuration")
+            if state.params[name].data.shape != shape:
+                raise CheckpointError(f"checkpoint {path} shape mismatch for {name}: "
+                                      f"header {shape}, model {state.params[name].data.shape}")
+        if len(order) != len(state.params):
+            raise CheckpointError(f"checkpoint {path} lists a parameter twice")
+        step = header["step"]
+        if type(step) is not int or step < 0:
+            raise CheckpointError(f"checkpoint {path} has step {step!r}, not a count")
+        state.step = step
         state.corrupt_rng.bit_generator.state = header["corrupt_rng"]
         state.dropout_rng.bit_generator.state = header["dropout_rng"]
     except (KeyError, TypeError) as exc:
-        # a missing array or header key, or a config key this version does not know
+        # a missing header key, or a config key this version does not know
         raise CheckpointError(f"incomplete checkpoint {path}: {exc!r}") from exc
+    except ValueError as exc:
+        # a config value its __post_init__ refuses, a malformed entry, a foreign rng state
+        raise CheckpointError(f"checkpoint {path} has a bad header value: {exc}") from exc
+
+    names = [name for name, _ in order]
+    size = sum(state.params[name].data.size for name in names)
+    targets = {"params": {name: t.data for name, t in state.params.items()},
+               "adam_m": state.adam_m, "adam_v": state.adam_v}
+    for kind, vector in vectors.items():
+        if vector.dtype != np.float64:
+            raise CheckpointError(f"checkpoint {path} stores {kind} as {vector.dtype}, not float64")
+        if vector.shape != (size,):
+            raise CheckpointError(f"checkpoint {path} stores {kind} with shape {vector.shape}; "
+                                  f"the header needs ({size},)")
+        start = 0
+        for name in names:
+            a = targets[kind][name]
+            a[...] = vector[start:start + a.size].reshape(a.shape)
+            start += a.size
     return state

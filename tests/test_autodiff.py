@@ -557,7 +557,7 @@ class TestFirstGradients:
             ad.backward(ad.tsum(ad.mul(v, c)))
         assert v.grad.strides == v.data.strides != c.strides
         np.testing.assert_array_equal(v.grad, c)
-        # the slot follows an assignment to `data`, as `restore` makes
+        # the slot follows an assignment to `data`
         v.data = np.ascontiguousarray(v.data)
         v.zero_grad()
         with ad.GradTape():

@@ -1,6 +1,8 @@
 import copy
+import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -406,8 +408,9 @@ class TestCheckpoint:
             restore(path)
 
     def test_wrong_format_version_rejected(self, tmp_path):
-        # version 2 headers carried model.shared_embedding and model.tie_dtp
-        for version in (2, 999):
+        # version 2 headers carried model.shared_embedding and model.tie_dtp;
+        # version 3 stored one archive member per parameter and moment
+        for version in (2, 3, 999):
             path = edited_checkpoint(tmp_path, lambda a, h: h.update(format_version=version))
             with pytest.raises(CheckpointError, match=f"version {version}"):
                 restore(path)
@@ -419,7 +422,7 @@ class TestCheckpoint:
             restore(path)
 
     @pytest.mark.parametrize("edit, named", [
-        (lambda a, h: a.pop("adam_m.src_emb"), "adam_m.src_emb"),
+        (lambda a, h: a.pop("adam_m"), "adam_m"),
         (lambda a, h: h.pop("step"), "step"),
         (lambda a, h: h["train_cfg"].update(momentum=0.5), "momentum"),
         (lambda a, h: a.update(header=np.frombuffer(b"[1]", dtype=np.uint8)), "JSON object"),
@@ -431,6 +434,72 @@ class TestCheckpoint:
     def test_incomplete_checkpoint_rejected(self, tmp_path, edit, named):
         with pytest.raises(CheckpointError, match=named):
             restore(edited_checkpoint(tmp_path, edit))
+
+    @pytest.mark.parametrize("edit", [
+        lambda a, h: h["model_cfg"].update(d_model=0),
+        lambda a, h: h["corrupt_rng"].update(bit_generator="MT19937"),
+        lambda a, h: h.update(step="x"),
+    ], ids=["config_value", "foreign_rng_state", "step_not_a_count"])
+    def test_bad_header_value_rejected_naming_the_file(self, tmp_path, edit):
+        path = edited_checkpoint(tmp_path, edit)
+        with pytest.raises(CheckpointError, match=re.escape(str(path))):
+            restore(path)
+
+    @pytest.mark.parametrize("edit, named", [
+        # a cast would parse the strings back, truncated
+        (lambda a, h: a.update(params=a["params"].astype("U3")), "params as <U3, not float64"),
+        (lambda a, h: a.update(adam_v=a["adam_v"].astype(np.float32)), "adam_v as float32"),
+        (lambda a, h: a.update(params=a["params"][:-1]), "params with shape"),
+        (lambda a, h: h["param_order"].append(h["param_order"][0]), "parameter twice"),
+    ], ids=["strings", "float32", "one_value_short", "repeated_parameter"])
+    def test_vectors_that_do_not_fit_the_header_rejected(self, tmp_path, edit, named):
+        with pytest.raises(CheckpointError, match=named):
+            restore(edited_checkpoint(tmp_path, edit))
+
+    def test_corrupted_vector_fails_the_crc(self, tmp_path):
+        state, _, _ = small_setup()
+        path = tmp_path / "ckpt.npz"
+        checkpoint(state, path)
+        raw = bytearray(path.read_bytes())
+        at = raw.index(state.params["src_emb"].data.tobytes()[:8])
+        raw[at] ^= 1
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="CRC"):
+            restore(path)
+
+    @pytest.mark.parametrize("n_layers", [1, 3])
+    def test_archive_holds_one_vector_per_kind(self, tmp_path, n_layers):
+        state, _, _ = small_setup()
+        state = TrainState(dataclasses.replace(state.model_cfg, n_layers=n_layers),
+                           state.drop_cfg, state.obj_cfg, state.train_cfg)
+        path = tmp_path / "ckpt.npz"
+        checkpoint(state, path)
+        with np.load(path) as archive:
+            assert sorted(archive.files) == ["adam_m", "adam_v", "header", "params"]
+            size = sum(t.data.size for t in state.params.values())
+            assert all(archive[k].shape == (size,) for k in ("params", "adam_m", "adam_v"))
+
+    def test_rewrite_of_a_restored_checkpoint_is_byte_identical(self, tmp_path):
+        state, train, _ = small_setup(max_steps=2, validate_every=2)
+        run_training(state, train)
+        first, second = tmp_path / "a.npz", tmp_path / "b.npz"
+        checkpoint(state, first)
+        checkpoint(restore(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_restored_arrays_are_separate_writable_float64(self, tmp_path):
+        state, train, _ = small_setup(max_steps=2, validate_every=2)
+        run_training(state, train)
+        path = tmp_path / "ckpt.npz"
+        checkpoint(state, path)
+        restored = restore(path)
+        arrays = [t.data for t in restored.params.values()]
+        arrays += list(restored.adam_m.values()) + list(restored.adam_v.values())
+        assert len(arrays) == 3 * len(state.params)
+        for a in arrays:
+            assert a.dtype == np.float64 and a.flags.c_contiguous and a.flags.writeable
+            # owning its buffer, it shares memory with no other array
+            assert a.flags.owndata
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         state, train, _ = small_setup(max_steps=2, validate_every=2)
